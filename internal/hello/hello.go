@@ -4,6 +4,11 @@
 // k = ceil(delta/Delta) + 1 recent messages suffice for weakly consistent
 // views; k = 1 gives the plain latest-message table of the baselines).
 //
+// A table holds only the senders it has heard since its last Reset: an
+// ascending-id list of neighbors, each with k history slots, found by
+// binary search. Its storage is sized to the neighborhood, not to the
+// number of nodes, and grows only on first contact with a new sender.
+//
 // The table is pure bookkeeping — no simulation clocks — so it is unit
 // testable in isolation; package manet drives it from the event loop.
 package hello
@@ -11,6 +16,7 @@ package hello
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mstc/internal/geom"
 )
@@ -35,180 +41,152 @@ type Message struct {
 
 // Table is one node's neighbor table. It stores up to K recent messages per
 // neighbor (newest first) and expires neighbors whose newest message is
-// older than Expiry.
+// older than its expiry.
 //
-// Two backing representations share the same semantics: NewTable builds a
-// map-keyed table accepting arbitrary sender ids, and NewTableN builds a
-// dense table preallocated for ids in [0, n) — one flat backing array, no
-// per-sender allocation on first contact and none in steady state, with
-// ascending-id iteration falling out of the layout instead of a sort. The
-// simulator uses the dense form (senders are node indices); the map form
-// remains for callers without a known id universe.
+// Neighbor i of the ascending-id list nbrs owns the history slots
+// msgs[i*k : (i+1)*k], of which the first nbrs[i].n hold messages by
+// descending version. A neighbor enters the list with its first message
+// and leaves it only on Reset; an expired neighbor stays listed (invisible
+// to every query) and a later message extends its stored history.
 type Table struct {
 	k      int
 	expiry float64
-	m      map[int][]Message // nil iff dense
-	dense  [][]Message       // per-id history views into store (dense form)
-	store  []Message         // flat backing, n slots of capacity k+1
-	live_  int               // dense form: number of non-empty histories
-	ver    uint64            // monotone mutation counter (see Version)
+	bound  int // sender ids lie in [0, bound)
+	nbrs   []neighbor
+	msgs   []Message
+	ver    uint64 // monotone mutation counter (see Version)
 }
 
-// NewTable creates a table keeping k >= 1 recent messages per neighbor;
-// entries expire once their newest message is older than expiry seconds
-// (expiry <= 0 disables expiry).
-func NewTable(k int, expiry float64) *Table {
-	if k < 1 {
-		panic(fmt.Sprintf("hello: table with k = %d", k))
-	}
-	return &Table{k: k, expiry: expiry, m: make(map[int][]Message)}
-}
+// neighbor is one listed sender: its id and the length of its history.
+type neighbor struct{ id, n int }
 
-// NewTableN creates a dense table for sender ids in [0, n): all storage is
-// preallocated, so Observe never allocates. Observing an id outside [0, n)
-// panics.
-func NewTableN(k int, expiry float64, n int) *Table {
-	if k < 1 {
-		panic(fmt.Sprintf("hello: table with k = %d", k))
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("hello: table with n = %d", n))
-	}
-	// The capacity bound keeps a slot's append from spilling into its
-	// neighbor; Observe inserts in place once a slot is full, so capacity
-	// k suffices.
-	t := &Table{k: k, expiry: expiry, dense: make([][]Message, n), store: make([]Message, n*k)}
-	for i := range t.dense {
-		t.dense[i] = t.store[i*k : i*k : (i+1)*k]
-	}
-	return t
-}
-
-// NewTablesN returns count dense tables, each for sender ids in [0, n),
-// with bulk-allocated shared backing: O(1) allocations for the whole batch
-// instead of O(count). This is the per-node table set of a simulation —
-// package manet allocates one table per node and the per-table constructor
-// cost used to dominate network setup.
-func NewTablesN(k int, expiry float64, n, count int) []*Table {
+// NewTables returns count tables for sender ids in [0, n), each keeping
+// k >= 1 recent messages per neighbor; entries expire once their newest
+// message is older than expiry seconds (expiry <= 0 disables expiry).
+// Every table starts with room for capacity neighbors (clamped to [0, n])
+// carved out of one bulk allocation shared by the batch, so a table
+// allocates only when it hears more than capacity distinct senders.
+func NewTables(k int, expiry float64, n, count, capacity int) []*Table {
 	if k < 1 {
 		panic(fmt.Sprintf("hello: table with k = %d", k))
 	}
 	if n < 0 || count < 0 {
 		panic(fmt.Sprintf("hello: tables with n = %d, count = %d", n, count))
 	}
+	capacity = min(max(capacity, 0), n)
 	tables := make([]Table, count)
 	out := make([]*Table, count)
-	store := make([]Message, count*n*k)
-	dense := make([][]Message, count*n)
-	for c := 0; c < count; c++ {
+	nbrs := make([]neighbor, count*capacity)
+	msgs := make([]Message, count*capacity*k)
+	for c := range tables {
 		t := &tables[c]
-		t.k = k
-		t.expiry = expiry
-		t.store = store[c*n*k : (c+1)*n*k]
-		t.dense = dense[c*n : (c+1)*n]
-		for i := range t.dense {
-			t.dense[i] = t.store[i*k : i*k : (i+1)*k]
-		}
+		t.k, t.expiry, t.bound = k, expiry, n
+		// The capacity bound keeps a table's growth from spilling into the
+		// next table's window: past it, append reallocates.
+		t.nbrs = nbrs[c*capacity : c*capacity : (c+1)*capacity]
+		t.msgs = msgs[c*capacity*k : c*capacity*k : (c+1)*capacity*k]
 		out[c] = t
 	}
 	return out
 }
 
+// NewTablesN is NewTables with room for all n senders in every table, so no
+// table ever allocates after construction.
+func NewTablesN(k int, expiry float64, n, count int) []*Table {
+	return NewTables(k, expiry, n, count, n)
+}
+
 // K returns the per-neighbor history depth.
 func (t *Table) K() int { return t.k }
 
+// Len returns the number of listed neighbors, expired or not.
+func (t *Table) Len() int { return len(t.nbrs) }
+
 // Version returns the table's monotone mutation counter: it increases on
-// every state change (message stored or replaced, neighbor forgotten,
-// expired entry collected, reset) and never otherwise. Together with an
-// expiry horizon (StableUntil) it is an O(1) fingerprint of the table's
-// visible contents — the cache key of package manet's selection cache.
+// every state change (message stored or replaced, reset) and never
+// otherwise. Together with an expiry horizon (StableUntil) it is an O(1)
+// fingerprint of the table's visible contents — the cache key of package
+// manet's selection cache.
 func (t *Table) Version() uint64 { return t.ver }
 
 // StableUntil returns the latest instant through which the table's visible
 // contents are guaranteed unchanged absent mutations: the earliest expiry
 // deadline over currently-live histories (+Inf when nothing can expire).
 // For any now' in [now, StableUntil(now)] with Version unchanged, every
-// query (Latest, Versioned, AsOf, History) returns the same messages at
-// now' as at now — entries live at now stay live through the horizon, and
-// entries already expired can only revive via a new message, which bumps
-// Version.
+// query returns the same messages at now' as at now — entries live at now
+// stay live through the horizon, and entries already expired can only
+// revive via a new message, which bumps Version.
 func (t *Table) StableUntil(now float64) float64 {
 	horizon := math.Inf(1)
 	if t.expiry <= 0 {
 		return horizon
 	}
-	if t.m == nil {
-		for _, h := range t.dense {
-			if t.live(h, now) {
-				if d := h[0].SentAt + t.expiry; d < horizon {
-					horizon = d
-				}
-			}
+	for i := range t.nbrs {
+		if !t.live(i, now) {
+			continue
 		}
-		return horizon
-	}
-	//lint:order-independent
-	for _, h := range t.m {
-		if t.live(h, now) {
-			if d := h[0].SentAt + t.expiry; d < horizon {
-				horizon = d
-			}
+		if d := t.msgs[i*t.k].SentAt + t.expiry; d < horizon {
+			horizon = d
 		}
 	}
 	return horizon
 }
 
-// Reset drops all stored state in place and sets a (possibly new) expiry,
-// reusing the table's backing storage. Unlike constructing a fresh table,
-// Reset keeps the mutation counter monotone, so stale cache entries keyed
-// by Version can never alias the post-reset state.
-func (t *Table) Reset(expiry float64) {
-	t.expiry = expiry
+// Reset drops all stored state in place, keeping the table's storage and
+// expiry. Unlike constructing a fresh table, Reset keeps the mutation
+// counter monotone, so stale cache entries keyed by Version can never
+// alias the post-reset state.
+func (t *Table) Reset() {
 	t.ver++
-	if t.m != nil {
-		clear(t.m)
-		return
-	}
-	for i := range t.dense {
-		t.dense[i] = t.dense[i][:0]
-	}
-	t.live_ = 0
+	t.nbrs = t.nbrs[:0]
+	t.msgs = t.msgs[:0]
 }
 
-// history returns the stored (possibly expired) history for id, or nil.
-func (t *Table) history(id int) []Message {
-	if t.m != nil {
-		return t.m[id]
+// find returns the list index of id, or the index it would be inserted at,
+// and whether it is listed.
+func (t *Table) find(id int) (int, bool) {
+	lo, hi := 0, len(t.nbrs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.nbrs[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	if id < 0 || id >= len(t.dense) {
-		return nil
-	}
-	return t.dense[id]
+	return lo, lo < len(t.nbrs) && t.nbrs[lo].id == id
 }
 
-// setHistory stores the updated history for id.
-func (t *Table) setHistory(id int, h []Message) {
-	if t.m != nil {
-		t.m[id] = h
-		return
-	}
-	if len(t.dense[id]) == 0 && len(h) > 0 {
-		t.live_++
-	} else if len(t.dense[id]) > 0 && len(h) == 0 {
-		t.live_--
-	}
-	t.dense[id] = h
+// history returns neighbor i's stored messages, newest first, with
+// capacity k.
+func (t *Table) history(i int) []Message {
+	return t.msgs[i*t.k : i*t.k+t.nbrs[i].n : (i+1)*t.k]
+}
+
+// live reports whether neighbor i's newest message is unexpired at now.
+func (t *Table) live(i int, now float64) bool {
+	return t.expiry <= 0 || now-t.msgs[i*t.k].SentAt <= t.expiry
 }
 
 // Observe records a received message, evicting the oldest stored message
 // from the same sender beyond the history depth. Messages may arrive out
 // of order; the table keeps the k highest versions. A duplicate version
-// replaces the stored copy.
+// replaces the stored copy. Observing a sender id outside [0, n) panics.
 func (t *Table) Observe(msg Message) {
-	h := t.history(msg.From)
-	if t.m == nil && (msg.From < 0 || msg.From >= len(t.dense)) {
-		panic(fmt.Sprintf("hello: dense table for %d senders observed id %d", len(t.dense), msg.From))
+	if msg.From < 0 || msg.From >= t.bound {
+		panic(fmt.Sprintf("hello: table for %d senders observed id %d", t.bound, msg.From))
 	}
+	i, ok := t.find(msg.From)
+	if !ok {
+		// First contact: open an empty history at i, shifting the later
+		// neighbors' entries and slots up by one.
+		t.nbrs = append(t.nbrs, neighbor{})
+		copy(t.nbrs[i+1:], t.nbrs[i:])
+		t.nbrs[i] = neighbor{id: msg.From}
+		t.msgs = slices.Grow(t.msgs, t.k)[:len(t.msgs)+t.k]
+		copy(t.msgs[(i+1)*t.k:], t.msgs[i*t.k:])
+	}
+	h := t.history(i)
 	// Insert by descending version. Linear scan: h holds at most k entries
 	// (small), so this beats sort.Search's closure calls on the hot path.
 	idx := 0
@@ -231,219 +209,74 @@ func (t *Table) Observe(msg Message) {
 	default:
 		return // older than all k stored versions of a full history
 	}
+	t.nbrs[i].n = len(h)
 	t.ver++
-	t.setHistory(msg.From, h)
 }
 
-// Forget removes all state for the given neighbor.
-func (t *Table) Forget(id int) {
-	if t.m != nil {
-		if _, ok := t.m[id]; ok {
-			t.ver++
-			delete(t.m, id)
-		}
-		return
-	}
-	if id >= 0 && id < len(t.dense) {
-		if len(t.dense[id]) > 0 {
-			t.ver++
-		}
-		t.setHistory(id, t.dense[id][:0])
-	}
-}
-
-// Len returns the number of neighbors with at least one stored message
-// (expired or not; call GC first for a live count).
-func (t *Table) Len() int {
-	if t.m != nil {
-		return len(t.m)
-	}
-	return t.live_
-}
-
-// live reports whether a history is unexpired at the given time.
-func (t *Table) live(h []Message, now float64) bool {
-	return len(h) > 0 && (t.expiry <= 0 || now-h[0].SentAt <= t.expiry)
-}
-
-// Latest returns the newest stored message per live neighbor, ascending by
-// neighbor id.
-func (t *Table) Latest(now float64) []Message {
-	return t.LatestInto(make([]Message, 0, t.Len()), now)
-}
-
-// LatestInto is Latest appending into dst (which may be nil), for hot paths
-// that reuse a scratch buffer across calls. Appended entries ascend by
-// neighbor id; dst's existing contents are untouched.
+// LatestInto appends the newest stored message per live neighbor to dst
+// (which may be nil), ascending by neighbor id; dst's existing contents
+// are untouched. Hot paths reuse one scratch buffer across calls.
 //manet:noalloc
 func (t *Table) LatestInto(dst []Message, now float64) []Message {
-	if t.m == nil {
-		// Dense layout iterates ids ascending; no sort needed.
-		for _, h := range t.dense {
-			if t.live(h, now) {
-				dst = append(dst, h[0])
-			}
-		}
-		return dst
-	}
-	start := len(dst)
-	//lint:order-independent
-	for _, h := range t.m {
-		if t.live(h, now) {
-			dst = append(dst, h[0])
+	for i := range t.nbrs {
+		if t.live(i, now) {
+			dst = append(dst, t.msgs[i*t.k])
 		}
 	}
-	sortByFrom(dst[start:])
 	return dst
 }
 
-// History returns up to k stored messages for the given neighbor, newest
-// first, or nil if the neighbor is absent or expired.
-func (t *Table) History(id int, now float64) []Message {
-	h := t.history(id)
-	if !t.live(h, now) {
-		return nil
-	}
-	out := make([]Message, len(h))
-	copy(out, h)
-	return out
-}
-
-// HistoryInto is History appending into dst (which may be nil); it appends
-// nothing when the neighbor is absent or expired.
+// HistoryInto appends the stored messages of the given neighbor, newest
+// first, to dst (which may be nil); it appends nothing when the neighbor is
+// absent or expired.
 //manet:noalloc
 func (t *Table) HistoryInto(dst []Message, id int, now float64) []Message {
-	h := t.history(id)
-	if !t.live(h, now) {
+	i, ok := t.find(id)
+	if !ok || !t.live(i, now) {
 		return dst
 	}
-	return append(dst, h...)
+	return append(dst, t.history(i)...)
 }
 
-// Versioned returns, per live neighbor, the stored message with exactly the
-// given version, ascending by neighbor id. Neighbors lacking that version
-// are omitted — this is the lookup the proactive strong-consistency scheme
-// performs when a data packet pins a timestamp (§4.1).
-func (t *Table) Versioned(version uint64, now float64) []Message {
-	return t.VersionedInto(make([]Message, 0, t.Len()), version, now)
-}
-
-// VersionedInto is Versioned appending into dst (which may be nil).
+// VersionedInto appends, per live neighbor, the stored message with exactly
+// the given version, ascending by neighbor id. Neighbors lacking that
+// version are omitted — this is the lookup the reactive strong-consistency
+// scheme performs once every node has beaconed a round's version (§4.1).
 //manet:noalloc
 func (t *Table) VersionedInto(dst []Message, version uint64, now float64) []Message {
-	if t.m == nil {
-		for _, h := range t.dense {
-			if !t.live(h, now) {
-				continue
-			}
-			for _, msg := range h {
-				if msg.Version == version {
-					dst = append(dst, msg)
-					break
-				}
-			}
-		}
-		return dst
-	}
-	start := len(dst)
-	//lint:order-independent
-	for _, h := range t.m {
-		if !t.live(h, now) {
+	for i := range t.nbrs {
+		if !t.live(i, now) {
 			continue
 		}
-		for _, msg := range h {
+		for _, msg := range t.history(i) {
 			if msg.Version == version {
 				dst = append(dst, msg)
 				break
 			}
 		}
 	}
-	sortByFrom(dst[start:])
 	return dst
 }
 
-// AsOf returns, per live neighbor, the newest stored message with version
-// at most v, ascending by neighbor id. Neighbors with no such version are
-// omitted. This is the lookup behind the proactive strong-consistency
-// scheme (§4.1): all nodes relaying a packet pinned to version v resolve
-// each neighbor to the *same* message, so their local views are consistent
-// in the sense of Theorem 2.
-func (t *Table) AsOf(v uint64, now float64) []Message {
-	return t.AsOfInto(make([]Message, 0, t.Len()), v, now)
-}
-
-// AsOfInto is AsOf appending into dst (which may be nil).
+// AsOfInto appends, per live neighbor, the newest stored message with
+// version at most v, ascending by neighbor id. Neighbors with no such
+// version are omitted. This is the lookup behind the proactive
+// strong-consistency scheme (§4.1): all nodes relaying a packet pinned to
+// version v resolve each neighbor to the *same* message, so their local
+// views are consistent in the sense of Theorem 2.
 //manet:noalloc
 func (t *Table) AsOfInto(dst []Message, v uint64, now float64) []Message {
-	if t.m == nil {
-		for _, h := range t.dense {
-			if !t.live(h, now) {
-				continue
-			}
-			// h is sorted by descending version; pick the first <= v.
-			for _, msg := range h {
-				if msg.Version <= v {
-					dst = append(dst, msg)
-					break
-				}
-			}
-		}
-		return dst
-	}
-	start := len(dst)
-	//lint:order-independent
-	for _, h := range t.m {
-		if !t.live(h, now) {
+	for i := range t.nbrs {
+		if !t.live(i, now) {
 			continue
 		}
-		// h is sorted by descending version; pick the first <= v.
-		for _, msg := range h {
+		// The history is sorted by descending version; pick the first <= v.
+		for _, msg := range t.history(i) {
 			if msg.Version <= v {
 				dst = append(dst, msg)
 				break
 			}
 		}
 	}
-	sortByFrom(dst[start:])
 	return dst
-}
-
-// sortByFrom orders messages ascending by sender id. Insertion sort: the
-// slices are small (one entry per live neighbor) and, unlike sort.Slice,
-// it allocates nothing — these calls sit on the per-Hello hot path.
-func sortByFrom(msgs []Message) {
-	for i := 1; i < len(msgs); i++ {
-		for j := i; j > 0 && msgs[j].From < msgs[j-1].From; j-- {
-			msgs[j], msgs[j-1] = msgs[j-1], msgs[j]
-		}
-	}
-}
-
-// GC drops neighbors whose newest message is expired and returns how many
-// were dropped.
-func (t *Table) GC(now float64) int {
-	dropped := 0
-	if t.m == nil {
-		for id, h := range t.dense {
-			if len(h) > 0 && !t.live(h, now) {
-				t.setHistory(id, h[:0])
-				dropped++
-			}
-		}
-		if dropped > 0 {
-			t.ver++
-		}
-		return dropped
-	}
-	//lint:order-independent
-	for id, h := range t.m {
-		if !t.live(h, now) {
-			delete(t.m, id)
-			dropped++
-		}
-	}
-	if dropped > 0 {
-		t.ver++
-	}
-	return dropped
 }

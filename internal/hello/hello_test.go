@@ -13,12 +13,25 @@ func msg(from int, x float64, at float64, ver uint64) Message {
 	return Message{From: from, Pos: geom.Pt(x, 0), SentAt: at, Version: ver}
 }
 
+// testBound is the sender-id bound of the tables these tests build.
+const testBound = 16
+
+// newTable returns one table for sender ids in [0, testBound) that starts
+// without storage, so every test also exercises growth on first contact.
+func newTable(k int, expiry float64) *Table {
+	return NewTables(k, expiry, testBound, 1, 0)[0]
+}
+
+func latest(tb *Table, now float64) []Message { return tb.LatestInto(nil, now) }
+
+func history(tb *Table, id int, now float64) []Message { return tb.HistoryInto(nil, id, now) }
+
 func TestObserveAndLatest(t *testing.T) {
-	tb := NewTable(2, 2.5)
+	tb := newTable(2, 2.5)
 	tb.Observe(msg(3, 10, 1.0, 1))
 	tb.Observe(msg(1, 20, 1.1, 1))
 	tb.Observe(msg(3, 11, 2.0, 2))
-	got := tb.Latest(2.5)
+	got := latest(tb, 2.5)
 	if len(got) != 2 {
 		t.Fatalf("Latest = %v", got)
 	}
@@ -31,11 +44,11 @@ func TestObserveAndLatest(t *testing.T) {
 }
 
 func TestHistoryDepthK(t *testing.T) {
-	tb := NewTable(2, 0)
+	tb := newTable(2, 0)
 	for v := uint64(1); v <= 5; v++ {
 		tb.Observe(msg(7, float64(v), float64(v), v))
 	}
-	h := tb.History(7, 100)
+	h := history(tb, 7, 100)
 	if len(h) != 2 {
 		t.Fatalf("history length = %d, want 2", len(h))
 	}
@@ -45,93 +58,98 @@ func TestHistoryDepthK(t *testing.T) {
 }
 
 func TestOutOfOrderObserve(t *testing.T) {
-	tb := NewTable(3, 0)
+	tb := newTable(3, 0)
 	tb.Observe(msg(1, 3, 3, 3))
 	tb.Observe(msg(1, 1, 1, 1))
 	tb.Observe(msg(1, 2, 2, 2))
-	h := tb.History(1, 10)
+	h := history(tb, 1, 10)
 	vers := []uint64{h[0].Version, h[1].Version, h[2].Version}
 	if !reflect.DeepEqual(vers, []uint64{3, 2, 1}) {
 		t.Errorf("versions = %v, want [3 2 1]", vers)
 	}
 	// A late old version must not evict a newer one when full.
-	tb2 := NewTable(2, 0)
+	tb2 := newTable(2, 0)
 	tb2.Observe(msg(1, 5, 5, 5))
 	tb2.Observe(msg(1, 4, 4, 4))
 	tb2.Observe(msg(1, 1, 1, 1)) // too old; dropped
-	h2 := tb2.History(1, 10)
+	h2 := history(tb2, 1, 10)
 	if h2[0].Version != 5 || h2[1].Version != 4 {
 		t.Errorf("old version evicted newer: %+v", h2)
 	}
 }
 
 func TestDuplicateVersionReplaces(t *testing.T) {
-	tb := NewTable(2, 0)
+	tb := newTable(2, 0)
 	tb.Observe(msg(1, 10, 1, 1))
 	tb.Observe(msg(1, 99, 1.5, 1))
-	h := tb.History(1, 10)
+	h := history(tb, 1, 10)
 	if len(h) != 1 || h[0].Pos != geom.Pt(99, 0) {
 		t.Errorf("duplicate version not replaced: %+v", h)
 	}
 }
 
 func TestExpiry(t *testing.T) {
-	tb := NewTable(1, 2.5)
+	tb := newTable(1, 2.5)
 	tb.Observe(msg(1, 10, 0, 1))
 	tb.Observe(msg(2, 20, 2, 1))
-	if got := tb.Latest(2.4); len(got) != 2 {
+	if got := latest(tb, 2.4); len(got) != 2 {
 		t.Fatalf("both should be live at 2.4: %v", got)
 	}
-	got := tb.Latest(3.0) // node 1's message is 3.0 old > 2.5
+	got := latest(tb, 3.0) // node 1's message is 3.0 old > 2.5
 	if len(got) != 1 || got[0].From != 2 {
 		t.Errorf("Latest(3.0) = %v, want only node 2", got)
 	}
-	if h := tb.History(1, 3.0); h != nil {
+	if h := history(tb, 1, 3.0); h != nil {
 		t.Errorf("expired history = %v, want nil", h)
 	}
-	if dropped := tb.GC(3.0); dropped != 1 {
-		t.Errorf("GC dropped %d, want 1", dropped)
+	// An expired neighbor stays listed; a later message extends its
+	// stored history rather than starting a fresh one.
+	if tb.Len() != 2 {
+		t.Errorf("Len after expiry = %d, want 2", tb.Len())
 	}
-	if tb.Len() != 1 {
-		t.Errorf("Len after GC = %d", tb.Len())
+	tb2 := newTable(2, 2.5)
+	tb2.Observe(msg(1, 10, 0, 1))
+	tb2.Observe(msg(1, 11, 5, 2))
+	if h := history(tb2, 1, 5); len(h) != 2 || h[0].Version != 2 || h[1].Version != 1 {
+		t.Errorf("revived history = %v, want versions 2, 1", h)
 	}
 }
 
 func TestNoExpiryWhenDisabled(t *testing.T) {
-	tb := NewTable(1, 0)
+	tb := newTable(1, 0)
 	tb.Observe(msg(1, 10, 0, 1))
-	if got := tb.Latest(1e9); len(got) != 1 {
+	if got := latest(tb, 1e9); len(got) != 1 {
 		t.Errorf("expiry disabled but entry vanished")
 	}
 }
 
 func TestVersioned(t *testing.T) {
-	tb := NewTable(3, 0)
+	tb := newTable(3, 0)
 	tb.Observe(msg(1, 10, 1, 1))
 	tb.Observe(msg(1, 11, 2, 2))
 	tb.Observe(msg(2, 20, 1, 1))
 	tb.Observe(msg(3, 30, 2, 2))
-	got := tb.Versioned(1, 10)
+	got := tb.VersionedInto(nil, 1, 10)
 	if len(got) != 2 || got[0].From != 1 || got[1].From != 2 {
 		t.Errorf("Versioned(1) = %v", got)
 	}
 	if got[0].Pos != geom.Pt(10, 0) {
 		t.Errorf("Versioned(1) returned wrong message for node 1: %+v", got[0])
 	}
-	got = tb.Versioned(2, 10)
+	got = tb.VersionedInto(nil, 2, 10)
 	if len(got) != 2 || got[0].From != 1 || got[1].From != 3 {
 		t.Errorf("Versioned(2) = %v", got)
 	}
 }
 
 func TestAsOf(t *testing.T) {
-	tb := NewTable(3, 0)
+	tb := newTable(3, 0)
 	tb.Observe(msg(1, 10, 1, 1))
 	tb.Observe(msg(1, 12, 3, 3))
 	tb.Observe(msg(2, 20, 2, 2))
 	tb.Observe(msg(3, 30, 4, 4))
 
-	got := tb.AsOf(2, 10)
+	got := tb.AsOfInto(nil, 2, 10)
 	// node 1 resolves to version 1 (newest <= 2), node 2 to version 2,
 	// node 3 has nothing <= 2.
 	if len(got) != 2 {
@@ -143,11 +161,11 @@ func TestAsOf(t *testing.T) {
 	if got[1].From != 2 || got[1].Version != 2 {
 		t.Errorf("node 2 resolved to %+v, want version 2", got[1])
 	}
-	got = tb.AsOf(10, 10)
+	got = tb.AsOfInto(nil, 10, 10)
 	if len(got) != 3 || got[0].Version != 3 || got[2].Version != 4 {
 		t.Errorf("AsOf(10) = %v", got)
 	}
-	if got := tb.AsOf(0, 10); len(got) != 0 {
+	if got := tb.AsOfInto(nil, 0, 10); len(got) != 0 {
 		t.Errorf("AsOf(0) = %v, want empty", got)
 	}
 }
@@ -156,43 +174,61 @@ func TestAsOfConsistencyAcrossTables(t *testing.T) {
 	// Two observers holding different subsets that share versions <= v
 	// resolve a sender to the same message — the Theorem 2 property the
 	// proactive scheme relies on.
-	a, b := NewTable(3, 0), NewTable(3, 0)
+	a, b := newTable(3, 0), newTable(3, 0)
 	m1, m2, m3 := msg(9, 1, 1, 1), msg(9, 2, 2, 2), msg(9, 3, 3, 3)
 	for _, m := range []Message{m1, m2, m3} {
 		a.Observe(m)
 	}
 	b.Observe(m2)
 	b.Observe(m3)
-	ra, rb := a.AsOf(2, 10), b.AsOf(2, 10)
+	ra, rb := a.AsOfInto(nil, 2, 10), b.AsOfInto(nil, 2, 10)
 	if len(ra) != 1 || len(rb) != 1 || !reflect.DeepEqual(ra[0], rb[0]) {
 		t.Errorf("observers resolved differently: %v vs %v", ra, rb)
 	}
 }
 
-func TestForget(t *testing.T) {
-	tb := NewTable(1, 0)
+func TestReset(t *testing.T) {
+	tb := newTable(1, 2.5)
 	tb.Observe(msg(1, 10, 0, 1))
-	tb.Forget(1)
-	if tb.Len() != 0 || tb.History(1, 1) != nil {
-		t.Error("Forget did not remove the neighbor")
+	tb.Observe(msg(2, 20, 0, 1))
+	ver := tb.Version()
+	tb.Reset()
+	if tb.Len() != 0 || history(tb, 1, 1) != nil || len(latest(tb, 1)) != 0 {
+		t.Error("Reset did not remove every neighbor")
+	}
+	if tb.Version() != ver+1 {
+		t.Errorf("Reset moved Version from %d to %d, want one bump", ver, tb.Version())
+	}
+	// Reset keeps the construction expiry.
+	tb.Observe(msg(2, 20, 10, 2))
+	if got := tb.StableUntil(10); got != 12.5 {
+		t.Errorf("StableUntil after Reset = %g, want 12.5", got)
 	}
 }
 
 func TestNewTablePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for k = 0")
-		}
-	}()
-	NewTable(0, 1)
+	for name, fn := range map[string]func(){
+		"k = 0":     func() { NewTables(0, 1, 4, 1, 4) },
+		"n < 0":     func() { NewTables(1, 1, -1, 1, 0) },
+		"count < 0": func() { NewTables(1, 1, 4, -1, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 func TestHistoryIsCopy(t *testing.T) {
-	tb := NewTable(2, 0)
+	tb := newTable(2, 0)
 	tb.Observe(msg(1, 10, 0, 1))
-	h := tb.History(1, 1)
+	h := history(tb, 1, 1)
 	h[0].Pos = geom.Pt(-1, -1)
-	if got := tb.History(1, 1); got[0].Pos != geom.Pt(10, 0) {
+	if got := history(tb, 1, 1); got[0].Pos != geom.Pt(10, 0) {
 		t.Error("History exposed internal storage")
 	}
 }
@@ -204,7 +240,7 @@ func TestHistoryInvariantsProperty(t *testing.T) {
 	f := func(seed uint64, kRaw uint8) bool {
 		k := int(kRaw%4) + 1
 		rng := xrand.New(seed)
-		tb := NewTable(k, 0)
+		tb := newTable(k, 0)
 		maxVer := uint64(0)
 		seen := map[uint64]bool{}
 		n := 1 + rng.Intn(20)
@@ -216,7 +252,7 @@ func TestHistoryInvariantsProperty(t *testing.T) {
 			}
 			tb.Observe(msg(1, float64(v), float64(i), v))
 		}
-		h := tb.History(1, 1e9)
+		h := history(tb, 1, 1e9)
 		if len(h) > k {
 			return false
 		}

@@ -226,9 +226,18 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 	}
 	// Bulk-allocate the per-node state: one node array, one shared hello
 	// table backing, one flat membership mask — O(1) allocations where the
-	// per-node constructors cost O(n).
+	// per-node constructors cost O(n). Each hello table gets room for four
+	// times the expected number of nodes within NormalRange at uniform
+	// density, capped at n. A table also keeps senders whose entries have
+	// expired, and the headroom covers that and clustering, so tables
+	// seldom grow during Run.
 	backing := make([]node, n)
-	tables := hello.NewTablesN(k, expiry, n, n)
+	capacity := n
+	if area := model.Arena().Area(); area > 0 {
+		r := cfg.NormalRange
+		capacity = int(min(float64(n), math.Ceil(4*float64(n-1)*math.Pi*r*r/area)))
+	}
+	tables := hello.NewTables(k, expiry, n, n, capacity)
 	masks := make([]bool, n*n)
 	// Logical neighbor sets are small (2-8 for every protocol in the
 	// registry), so per-node selection storage — the live set plus the
@@ -305,9 +314,10 @@ func (nw *Network) Run(duration float64) Result {
 				nd.downUntil = now + down
 				// Losing state on failure: the node reboots with an
 				// empty neighbor table and no selection. Reset keeps the
-				// table's mutation counter monotone, so selection-cache
-				// entries from before the failure can never be replayed.
-				nd.table.Reset(nw.cfg.HelloExpiry)
+				// table's expiry and its mutation counter monotone, so
+				// selection-cache entries from before the failure can
+				// never be replayed.
+				nd.table.Reset()
 				nw.setSelection(nd, nil, 0)
 				nw.eng.Schedule(now+down+rng.ExpFloat64()*meanUp, fail)
 			}

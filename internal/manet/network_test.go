@@ -1,9 +1,12 @@
 package manet
 
 import (
+	"math"
+	"runtime"
 	"sort"
 	"testing"
 
+	"mstc/internal/channel"
 	"mstc/internal/geom"
 	"mstc/internal/mobility"
 	"mstc/internal/radio"
@@ -407,6 +410,67 @@ func TestChurnDegradesButDoesNotCollapse(t *testing.T) {
 	}
 	if churned.Connectivity < 0.3 {
 		t.Errorf("light churn collapsed the network: %.3f", churned.Connectivity)
+	}
+}
+
+func TestChurnRebootKeepsHelloExpiry(t *testing.T) {
+	// A rebooted node's table must keep the expiry NewNetwork built it
+	// with: max(HelloExpiry, (k+1)·HelloMax) under weak consistency
+	// (Theorem 3's window), not the plain HelloExpiry. StableUntil minus
+	// the oldest live send time is exactly that expiry.
+	model := connectedStatic(t, 100, 60, 20)
+	cfg := Config{Weak: topology.WeakRNG{}, Seed: 7, Mech: Mechanisms{WeakK: 3}}
+	cfg.Channel.Churn = channel.ChurnConfig{MeanUp: 2, MeanDown: 1}
+	nw, err := NewNetwork(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const end = 20
+	nw.Run(end)
+	want := 4 * nw.cfg.HelloMax
+	rebooted := 0
+	for _, nd := range nw.nodes {
+		msgs := nd.table.LatestInto(nil, end)
+		if len(msgs) == 0 {
+			continue
+		}
+		oldest := msgs[0].SentAt
+		for _, m := range msgs {
+			oldest = math.Min(oldest, m.SentAt)
+		}
+		if got := nd.table.StableUntil(end) - oldest; math.Abs(got-want) > 1e-9 {
+			t.Errorf("node %d (rebooted %v): expiry %.3f s, want %.3f s", nd.id, nd.downUntil > 0, got, want)
+		}
+		if nd.downUntil > 0 {
+			rebooted++
+		}
+	}
+	if rebooted == 0 {
+		t.Fatal("no rebooted node holds a live entry; the test checks nothing")
+	}
+}
+
+func TestNewNetworkHeapAtLargeN(t *testing.T) {
+	// Per-node state is sized to the neighbourhood: a 3000-node network at
+	// the paper's density (100 nodes per 900 m square) must fit in 64 MB
+	// of heap after set-up. Dense n-slot hello tables took about 1 GB.
+	const n = 3000
+	side := 900 * math.Sqrt(n/100)
+	square := geom.Square(side)
+	model := mobility.NewStatic(square, mobility.UniformPoints(square, n, xrand.New(1)), 10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	nw, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(nw)
+	const limit = 64 << 20
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > limit {
+		t.Errorf("NewNetwork at n=%d grew the heap by %.1f MB, want at most %d MB", n, float64(grown)/(1<<20), limit>>20)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -226,6 +227,53 @@ func TestParallelMatchesSerialMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParallelTableGrowth runs the region-parallel engine where hello
+// tables outgrow the room NewNetwork gives them: a short range makes that
+// room small and fast nodes meet many senders. Domain workers then grow
+// tables during Run, which must stay bit-identical to the serial engine
+// (and race-free under `make check`).
+func TestParallelTableGrowth(t *testing.T) {
+	const (
+		n     = 60
+		dur   = 8.0
+		speed = 160.0
+		r     = 100.0
+	)
+	model := parWaypoint(t, n, speed, dur, 61)
+	cfg := Config{Protocol: topology.RNG{}, FloodRate: 5, NormalRange: r, Seed: 61}
+	nw, err := NewNetwork(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Run(dur)
+	room := math.Ceil(4 * (n - 1) * math.Pi * r * r / arena.Area())
+	grown := 0
+	for _, nd := range nw.nodes {
+		if float64(nd.table.Len()) > room {
+			grown++
+		}
+	}
+	if grown == 0 {
+		t.Fatalf("no table outgrew its %g slots; the test exercises no growth", room)
+	}
+	t.Logf("%d of %d tables outgrew %g slots", grown, n, room)
+	want := runDigest(t, model, cfg, dur)
+	for _, gw := range []struct{ side, workers int }{{2, 2}, {4, 7}} {
+		cfg := cfg
+		cfg.Domains = gw.side
+		cfg.ParallelWorkers = gw.workers
+		if nw, err := NewNetwork(model, cfg); err != nil {
+			t.Fatal(err)
+		} else if !nw.parallelEligible() {
+			t.Fatal("the configuration must take the parallel path")
+		}
+		if got := runDigest(t, model, cfg, dur); got != want {
+			t.Errorf("%dx%d domains, %d workers: digest %s != serial %s",
+				gw.side, gw.side, gw.workers, got[:16], want[:16])
+		}
 	}
 }
 

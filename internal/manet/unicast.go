@@ -140,7 +140,8 @@ func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time, res *UnicastR
 func (nw *Network) greedyNext(nd *node, dst int, target geom.Point, now sim.Time) (int, bool) {
 	best := -1
 	bestD := nd.advertisedPos.Dist2(target)
-	for _, m := range nd.table.Latest(now) {
+	nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
+	for _, m := range nw.msgBuf {
 		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical[m.From] {
 			continue
 		}
