@@ -1,10 +1,10 @@
-# Development entry points. `make check` is the CI gate: build, go vet,
-# manetlint (the project's determinism analyzers), the test suite, and the
-# test suite again under the race detector.
+# Development entry points. `make check` is the CI gate: build, go vet plus
+# a gofmt check, manetlint (the project's determinism analyzers), the test
+# suite, and the test suite again under the race detector.
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-json check bench bench-compare faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke
+.PHONY: build test race vet lint lint-json check bench bench-compare faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# go vet, then fail if any Go file is not gofmt-formatted (listing them).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 
 # Full analyzer suite over the whole module (cmd/ included), gated on the
 # committed baseline: only findings whose IDs are not recorded in
@@ -147,6 +150,13 @@ traffic-smoke:
 	cd $(TRAFFIC)/fleet  && find runs -type f | sort | xargs sha256sum > $(TRAFFIC)/fleet.sum
 	cd $(TRAFFIC)/direct && find runs -type f | sort | xargs sha256sum > $(TRAFFIC)/direct.sum
 	cmp $(TRAFFIC)/fleet.sum $(TRAFFIC)/direct.sum
+
+# Fuzz smoke: each native fuzz target runs for 10 s, starting from its seed
+# corpus (the f.Add seeds plus any committed testdata/fuzz inputs). A
+# crasher is written to testdata/fuzz/ and fails the target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/hello
+	$(GO) test -run '^$$' -fuzz '^FuzzGilbertElliott$$' -fuzztime 10s ./internal/channel
 
 # Gate the hot path against the committed baseline trajectory: three
 # repetitions of BenchmarkSingleRun, compared by minimum ns/op; fails on a

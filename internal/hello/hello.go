@@ -216,6 +216,7 @@ func (t *Table) Observe(msg Message) {
 // LatestInto appends the newest stored message per live neighbor to dst
 // (which may be nil), ascending by neighbor id; dst's existing contents
 // are untouched. Hot paths reuse one scratch buffer across calls.
+//
 //manet:noalloc
 func (t *Table) LatestInto(dst []Message, now float64) []Message {
 	for i := range t.nbrs {
@@ -229,6 +230,7 @@ func (t *Table) LatestInto(dst []Message, now float64) []Message {
 // HistoryInto appends the stored messages of the given neighbor, newest
 // first, to dst (which may be nil); it appends nothing when the neighbor is
 // absent or expired.
+//
 //manet:noalloc
 func (t *Table) HistoryInto(dst []Message, id int, now float64) []Message {
 	i, ok := t.find(id)
@@ -242,6 +244,7 @@ func (t *Table) HistoryInto(dst []Message, id int, now float64) []Message {
 // the given version, ascending by neighbor id. Neighbors lacking that
 // version are omitted — this is the lookup the reactive strong-consistency
 // scheme performs once every node has beaconed a round's version (§4.1).
+//
 //manet:noalloc
 func (t *Table) VersionedInto(dst []Message, version uint64, now float64) []Message {
 	for i := range t.nbrs {
@@ -264,6 +267,7 @@ func (t *Table) VersionedInto(dst []Message, version uint64, now float64) []Mess
 // strong-consistency scheme (§4.1): all nodes relaying a packet pinned to
 // version v resolve each neighbor to the *same* message, so their local
 // views are consistent in the sense of Theorem 2.
+//
 //manet:noalloc
 func (t *Table) AsOfInto(dst []Message, v uint64, now float64) []Message {
 	for i := range t.nbrs {

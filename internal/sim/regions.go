@@ -43,7 +43,7 @@ func NewRegions(domains, workers int, run func(domain int)) *Regions {
 	if workers > 1 {
 		r.work = make(chan int, domains)
 		for w := 0; w < workers; w++ {
-			go r.worker()
+			go r.worker(r.work)
 		}
 	}
 	return r
@@ -55,8 +55,10 @@ func (r *Regions) Domains() int { return r.domains }
 // Workers returns the effective worker count.
 func (r *Regions) Workers() int { return r.workers }
 
-func (r *Regions) worker() {
-	for d := range r.work {
+// worker receives its channel as an argument: Close clears r.work, and a
+// worker that read the field itself could race with that write.
+func (r *Regions) worker(work <-chan int) {
+	for d := range work {
 		r.run(d)
 		r.wg.Done()
 	}

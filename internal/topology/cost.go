@@ -30,7 +30,30 @@ func EnergyCost(alpha, fixed float64) CostFn {
 	if alpha < 1 {
 		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", alpha))
 	}
-	return func(d float64) float64 { return math.Pow(d, alpha) + fixed }
+	return func(d float64) float64 { return energyPow(d, alpha) + fixed }
+}
+
+// minNormal is the smallest positive normal float64, 2^-1022.
+const minNormal = 0x1p-1022
+
+// energyPow returns d^alpha, bit-identical to math.Pow(d, alpha). For the
+// paper's exponents 2 and 4 it multiplies (d·d, then squared again), which
+// rounds exactly as math.Pow's repeated squaring does whenever the result
+// is a normal number or overflows to +Inf. A subnormal result is rounded
+// twice by math.Pow and once here, so it, 0 and NaN fall through to
+// math.Pow. The float64 conversions forbid fusing the products with a
+// caller's addition. TestEnergyPowMatchesMathPow pins the identity.
+func energyPow(d, alpha float64) float64 {
+	if alpha == 2 || alpha == 4 { //lint:ignore float-eq only the exact integer exponents take the multiply path; every other alpha goes through math.Pow
+		p := float64(d * d)
+		if alpha > 3 {
+			p = float64(p * p)
+		}
+		if p >= minNormal {
+			return p
+		}
+	}
+	return math.Pow(d, alpha)
 }
 
 // LinkLess is the strict total order over links required by the framework:

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mstc/internal/geom"
-	"mstc/internal/graph"
 )
 
 // Protocol selects logical neighbors from a consistent local view.
@@ -36,6 +35,7 @@ func (r RNG) Select(v View) []int {
 }
 
 // SelectInto implements ScratchSelector.
+//
 //manet:noalloc
 func (RNG) SelectInto(v View, dst []int, s *Scratch) []int {
 	u := v.Self
@@ -86,6 +86,7 @@ func (g Gabriel) Select(v View) []int {
 }
 
 // SelectInto implements ScratchSelector.
+//
 //manet:noalloc
 func (Gabriel) SelectInto(v View, dst []int, _ *Scratch) []int {
 	for _, n := range v.Neighbors {
@@ -132,6 +133,7 @@ func (m MST) Select(v View) []int {
 // the tree edges the historical viewGraph + graph.PrimMST implementation
 // commits — including which of several equal-weight candidates wins.
 // TestMSTKernelMatchesPrim pins the equivalence on tie-heavy inputs.
+//
 //manet:noalloc
 func (m MST) SelectInto(v View, dst []int, s *Scratch) []int {
 	selfIdx := s.viewNodes(v)
@@ -247,10 +249,10 @@ func (s SPT) Select(v View) []int {
 
 // SelectInto implements ScratchSelector. The kernel runs Dijkstra over a
 // dense scratch weight matrix instead of Select's historical viewGraph +
-// graph.Dijkstra, replicating that implementation's relaxation conditions
-// (including the equal-distance predecessor tie-break) verbatim: the pop
-// order under the (key, node) total order and therefore every computed
-// distance is identical, and TestSPTKernelMatchesDijkstra pins it.
+// graph.Dijkstra. It settles nodes in the same (distance, index) order with
+// the same strict-improvement relaxation, so every computed distance is
+// identical; TestSPTKernelMatchesDijkstra pins it.
+//
 //manet:noalloc
 func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 	if sp.Alpha < 1 {
@@ -266,18 +268,24 @@ func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 		for j := i + 1; j < n; j++ {
 			c := inf
 			if s.pts[i].Dist2(s.pts[j]) <= r2 {
-				c = math.Pow(s.pts[i].Dist(s.pts[j]), sp.Alpha) + sp.Fixed
+				c = energyPow(s.pts[i].Dist(s.pts[j]), sp.Alpha) + sp.Fixed
 			}
 			s.w[i*n+j] = c
 			s.w[j*n+i] = c
 		}
 	}
 	dist := s.denseDijkstra(n, selfIdx)
+	row := s.w[selfIdx*n : selfIdx*n+n]
 	for i, nb := range v.Neighbors {
-		direct := math.Pow(v.Self.Pos.Dist(nb.Pos), sp.Alpha) + sp.Fixed
 		idx := i
 		if i >= selfIdx {
 			idx = i + 1
+		}
+		// The matrix row holds the direct cost of every in-range link;
+		// only an out-of-range neighbor needs it computed.
+		direct := row[idx]
+		if math.IsInf(direct, 1) {
+			direct = energyPow(v.Self.Pos.Dist(nb.Pos), sp.Alpha) + sp.Fixed
 		}
 		// Keep the link unless a strictly cheaper indirect path exists.
 		// dist includes the direct edge, so dist <= direct always holds
@@ -289,41 +297,28 @@ func (sp SPT) SelectInto(v View, dst []int, s *Scratch) []int {
 	return dst
 }
 
-// denseDijkstra is graph.Dijkstra over the scratch's dense n×n weight
-// matrix (+Inf = no edge), with identical relaxation and tie-breaking.
+// denseDijkstra is graph.Dijkstra's distance computation over the scratch's
+// dense n×n weight matrix (+Inf = no edge), settling nodes in
+// nextUnsettled's (distance, index) order.
 func (s *Scratch) denseDijkstra(n, src int) []float64 {
-	s.dist = grown(s.dist, n)
-	s.pred = grown(s.pred, n)
-	s.done = grown(s.done, n)
-	inf := math.Inf(1)
-	for i := 0; i < n; i++ {
-		s.dist[i] = inf
-		s.pred[i] = -1
-		s.done[i] = false
-	}
-	s.dist[src] = 0
-	s.heap = append(s.heap[:0], nodeKey{key: 0, node: int32(src)})
-	pq := &s.heap
-	for len(*pq) > 0 {
-		u := int(pq.pop().node)
-		if s.done[u] {
-			continue
+	s.startKeys(n, src)
+	for {
+		u := s.nextUnsettled(n)
+		if u < 0 {
+			return s.dist
 		}
 		s.done[u] = true
+		row := s.w[u*n : u*n+n]
 		for v := 0; v < n; v++ {
-			w := s.w[u*n+v]
+			w := row[v]
 			if math.IsInf(w, 1) {
 				continue
 			}
-			nd := s.dist[u] + w
-			if nd < s.dist[v] || (nd == s.dist[v] && !s.done[v] && (s.pred[v] == -1 || int32(u) < s.pred[v])) { //lint:ignore float-eq exact tie-break selects the lowest-id predecessor deterministically
+			if nd := s.dist[u] + w; nd < s.dist[v] {
 				s.dist[v] = nd
-				s.pred[v] = int32(u)
-				pq.push(nodeKey{key: nd, node: int32(v)})
 			}
 		}
 	}
-	return s.dist
 }
 
 // Yao is the Yao-graph-based protocol: the disk around u is divided into K
@@ -343,6 +338,7 @@ func (y Yao) Select(v View) []int {
 }
 
 // SelectInto implements ScratchSelector.
+//
 //manet:noalloc
 func (y Yao) SelectInto(v View, dst []int, s *Scratch) []int {
 	if y.K <= 0 {
@@ -389,56 +385,13 @@ func (n None) Select(v View) []int {
 }
 
 // SelectInto implements ScratchSelector.
+//
 //manet:noalloc
 func (None) SelectInto(v View, dst []int, _ *Scratch) []int {
 	for _, n := range v.Neighbors {
 		dst = append(dst, n.ID)
 	}
 	return dst
-}
-
-// viewGraph builds the local-view graph used by MST and SPT selection.
-// View nodes are indexed in ascending real-id order so that the index-based
-// tie-breaking inside graph.PrimMST and graph.Dijkstra coincides with the
-// paper's global id-based total order — essential for different nodes'
-// local computations to agree on equal-cost links (Theorem 1 needs a single
-// total order shared by all nodes). An edge joins two view nodes iff their
-// distance is at most maxRange (maxRange <= 0 or +Inf means unbounded),
-// weighted by fn(distance). It returns the index→id table, Self's index,
-// and the graph.
-func viewGraph(v View, maxRange float64, fn CostFn) (ids []int, selfIdx int, g *graph.Undirected) {
-	n := len(v.Neighbors) + 1
-	ids = make([]int, 0, n)
-	pts := make([]geom.Point, 0, n)
-	selfIdx = -1
-	// v is canonical: neighbors ascend by id. Insert Self in id order.
-	for _, nb := range v.Neighbors {
-		if selfIdx == -1 && v.Self.ID < nb.ID {
-			selfIdx = len(ids)
-			ids = append(ids, v.Self.ID)
-			pts = append(pts, v.Self.Pos)
-		}
-		ids = append(ids, nb.ID)
-		pts = append(pts, nb.Pos)
-	}
-	if selfIdx == -1 {
-		selfIdx = len(ids)
-		ids = append(ids, v.Self.ID)
-		pts = append(pts, v.Self.Pos)
-	}
-	g = graph.NewUndirected(n)
-	r2 := maxRange * maxRange
-	if maxRange <= 0 || math.IsInf(maxRange, 1) {
-		r2 = math.Inf(1)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if pts[i].Dist2(pts[j]) <= r2 {
-				g.AddEdge(i, j, fn(pts[i].Dist(pts[j])))
-			}
-		}
-	}
-	return ids, selfIdx, g
 }
 
 func sortInts(a []int) {

@@ -8,8 +8,9 @@ import (
 
 // Scratch holds the reusable working storage of the allocation-free
 // selection kernels (SelectInto / SelectWeakInto): witness-cost caches,
-// view index tables, dense weight matrices and the Prim/Dijkstra heap.
-// The zero value is ready to use; buffers
+// view index tables, dense weight matrices, per-node keys and Prim's heap.
+// The shortest-path kernels extract their minimum by a linear scan
+// (nextUnsettled) and need no heap. The zero value is ready to use; buffers
 // grow on demand and are retained across calls, so a long-lived caller
 // (one per simulated network in package manet) reaches a steady state
 // where selection allocates nothing.
@@ -19,16 +20,16 @@ import (
 // why it is threaded as an explicit parameter instead of living inside
 // the (pure, shareable) protocol values.
 type Scratch struct {
-	costs []float64      // RNG: cost(self, w) per witness
+	costs []float64      // RNG: cost(self, w) per witness; wRNG: cMax(self, w)
 	best  []int          // Yao: per-cone best neighbor index
 	ids   []int          // MST/SPT/weak: view index -> node id
 	pts   []geom.Point   // MST/SPT: view positions in index order
 	pos   [][]geom.Point // weak: per-node position sets in index order
 	w     []float64      // MST/SPT/weak: dense n×n weight matrix, +Inf = no edge
 	dist  []float64      // per-node keys (distance / bottleneck / best weight)
-	pred  []int32        // SPT: Dijkstra predecessors; MST: best tree edge source
-	done  []bool
-	heap  nodeKeyHeap
+	pred  []int32        // MST: best tree edge source
+	done  []bool         // settled / in tree
+	heap  nodeKeyHeap    // MST: Prim's lazy candidate heap
 }
 
 // ScratchSelector is implemented by protocols with an allocation-free
@@ -49,6 +50,7 @@ type WeakScratchSelector interface {
 // allocation-free kernel when it has one and through plain Select
 // otherwise. Results are identical either way; only allocation behavior
 // differs.
+//
 //manet:noalloc
 func SelectInto(p Protocol, v View, dst []int, s *Scratch) []int {
 	if ip, ok := p.(ScratchSelector); ok {
@@ -58,6 +60,7 @@ func SelectInto(p Protocol, v View, dst []int, s *Scratch) []int {
 }
 
 // SelectWeakInto is SelectInto for weak-consistency selectors.
+//
 //manet:noalloc
 func SelectWeakInto(p WeakProtocol, v MultiView, dst []int, s *Scratch) []int {
 	if ip, ok := p.(WeakScratchSelector); ok {
@@ -101,15 +104,44 @@ func (s *Scratch) viewNodes(v View) (selfIdx int) {
 	return selfIdx
 }
 
+// startKeys readies dist and done for a shortest-path kernel over n nodes:
+// every node unsettled at +Inf, except src at 0.
+func (s *Scratch) startKeys(n, src int) {
+	s.dist = grown(s.dist, n)
+	s.done = grown(s.done, n)
+	for i := 0; i < n; i++ {
+		s.dist[i] = math.Inf(1)
+		s.done[i] = false
+	}
+	s.dist[src] = 0
+}
+
+// nextUnsettled returns the node that is not yet done with the least
+// (dist, index), or -1 when every such node is unreachable (+Inf). It is
+// the extract-min of the dense shortest-path kernels (denseDijkstra,
+// denseShortest, denseMinimax). A lazy heap of (key, node) entries would
+// pop the same node: each unsettled reachable node has an entry keyed by
+// its current dist, and its stale entries carry larger keys. At view sizes
+// (~25 nodes) the scan costs less than the heap's pushes and pops.
+func (s *Scratch) nextUnsettled(n int) int {
+	u, best := -1, math.Inf(1)
+	for i, d := range s.dist[:n] {
+		if d < best && !s.done[i] {
+			u, best = i, d
+		}
+	}
+	return u
+}
+
 // nodeKeyHeap is a hand-rolled binary min-heap over (key, node) items,
-// ordered by key then node index — the same comparator as graph.keyHeap and
-// graph.f64Heap — with sift-up/sift-down operations that perform exactly
-// container/heap's swap sequences. Identical comparators and identical sift
-// behavior mean identical layouts and pop orders even among fully equal
-// items, which is what lets the kernels replay the historical algorithms'
-// tie behavior bit-for-bit without container/heap's per-Push interface
-// boxing. The from field is payload (Prim's candidate edge source), never
-// compared.
+// ordered by key then node index — the same comparator as graph.keyHeap —
+// with sift-up/sift-down operations that perform exactly container/heap's
+// swap sequences. Identical comparators and identical sift behavior mean
+// identical layouts and pop orders even among fully equal items. Only MST's
+// Prim replay uses it: there a stale entry that ties with the current
+// best carries its own edge source, so which equal entry pops first decides
+// the tree, and a linear scan could not reproduce graph.PrimMST. The from
+// field is payload (Prim's candidate edge source), never compared.
 type nodeKeyHeap []nodeKey
 
 type nodeKey struct {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -29,6 +30,24 @@ func randView(rng *xrand.Source, maxNbrs int) View {
 		v.Neighbors = append(v.Neighbors, NodeInfo{ID: id, Pos: pt()})
 	}
 	return v.Canon()
+}
+
+// colocated returns a copy of v in which about a third of the neighbors
+// sit exactly on Self or on another view node: zero-distance links give
+// zero-cost edges (with Fixed = 0) and equal shortest-path keys.
+func colocated(rng *xrand.Source, v View) View {
+	out := View{Self: v.Self, Neighbors: append([]NodeInfo(nil), v.Neighbors...)}
+	for i := range out.Neighbors {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		if j := rng.Intn(len(out.Neighbors) + 1); j == len(out.Neighbors) {
+			out.Neighbors[i].Pos = out.Self.Pos
+		} else {
+			out.Neighbors[i].Pos = out.Neighbors[j].Pos
+		}
+	}
+	return out
 }
 
 // randMultiView is randView with up to k positions per node.
@@ -83,6 +102,32 @@ func refSPTSelect(s SPT, v View) []int {
 			out = append(out, n.ID)
 		}
 	}
+	return out
+}
+
+// refWeakRNGSelect is the historical WeakRNG.SelectWeak: the plain double
+// loop that recomputes both witness costs for every candidate link.
+func refWeakRNGSelect(v MultiView) []int {
+	out := make([]int, 0, 4)
+	for _, n := range v.Neighbors {
+		cMinUV, _ := CostRange(v.Self.Positions, n.Positions, DistanceCost)
+		removed := false
+		for _, w := range v.Neighbors {
+			if w.ID == n.ID {
+				continue
+			}
+			_, cMaxUW := CostRange(v.Self.Positions, w.Positions, DistanceCost)
+			_, cMaxWV := CostRange(w.Positions, n.Positions, DistanceCost)
+			if cMinUV > math.Max(cMaxUW, cMaxWV) {
+				removed = true
+				break
+			}
+		}
+		if !removed {
+			out = append(out, n.ID)
+		}
+	}
+	sortInts(out)
 	return out
 }
 
@@ -148,32 +193,70 @@ func TestMSTKernelMatchesPrim(t *testing.T) {
 }
 
 // TestSPTKernelMatchesDijkstra pins the dense-Dijkstra kernel against the
-// historical viewGraph + graph.Dijkstra path, including the equal-distance
-// predecessor tie-break.
+// historical viewGraph + graph.Dijkstra path, on grid-snapped views and on
+// views with co-located nodes (zero-cost edges, equal keys).
 func TestSPTKernelMatchesDijkstra(t *testing.T) {
 	rng := xrand.New(72)
 	s := &Scratch{}
 	for trial := 0; trial < 400; trial++ {
 		v := randView(rng, 24)
-		for _, p := range []SPT{
-			{Alpha: 2, Range: 275},
-			{Alpha: 4, Range: 275},
-			{Alpha: 2, Fixed: 1000, Range: 120},
-			{Alpha: 1, Range: 0},
-		} {
-			got := p.SelectInto(v, nil, s)
-			sameSet(t, fmt.Sprintf("trial %d %s", trial, p.Name()), got, refSPTSelect(p, v))
+		for k, view := range []View{v, colocated(rng, v)} {
+			for _, p := range []SPT{
+				{Alpha: 2, Range: 275},
+				{Alpha: 4, Range: 275},
+				{Alpha: 2, Fixed: 1000, Range: 120},
+				{Alpha: 1, Range: 0},
+			} {
+				got := p.SelectInto(view, nil, s)
+				sameSet(t, fmt.Sprintf("trial %d view %d %s", trial, k, p.Name()), got, refSPTSelect(p, view))
+			}
+		}
+	}
+}
+
+// TestEnergyPowMatchesMathPow pins energyPow bit for bit against math.Pow:
+// the multiply path for alpha 2 and 4 at the extremes, across the bands
+// whose results are subnormal (where math.Pow rounds twice), and densely
+// over simulated link lengths; any other alpha must be math.Pow itself.
+func TestEnergyPowMatchesMathPow(t *testing.T) {
+	same := func(d, alpha float64) {
+		t.Helper()
+		if got, want := energyPow(d, alpha), math.Pow(d, alpha); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("energyPow(%g, %g) = %g, math.Pow = %g", d, alpha, got, want)
+		}
+	}
+	for _, alpha := range []float64{2, 4} {
+		for _, d := range []float64{0, math.SmallestNonzeroFloat64, 1e-160, 1e160, math.MaxFloat64, math.Inf(1), math.NaN()} {
+			same(d, alpha)
+		}
+		// d² is subnormal for d below ~1.5e-154, d⁴ for d below ~1.2e-77.
+		for _, band := range [][2]float64{{1e-170, 1e-150}, {1e-85, 1e-75}} {
+			lo, hi := math.Log(band[0]), math.Log(band[1])
+			for i := 0; i < 100000; i++ {
+				same(math.Exp(lo+(hi-lo)*float64(i)/100000), alpha)
+			}
+		}
+		for i := 0; i <= 400000; i++ {
+			same(float64(i)*0.001, alpha)
+		}
+	}
+	for _, alpha := range []float64{1, 2.5, 3, 3.999} {
+		for _, d := range []float64{0, 1e-160, 0.5, 137.25, 250, 1e160} {
+			same(d, alpha)
 		}
 	}
 }
 
 // TestWeakKernelsMatchReference pins the weak-consistency scratch kernels
-// against the historical multiGraph implementations.
+// against the historical double loop (wRNG) and multiGraph (wMST, wSPT)
+// implementations.
 func TestWeakKernelsMatchReference(t *testing.T) {
 	rng := xrand.New(73)
 	s := &Scratch{}
 	for trial := 0; trial < 300; trial++ {
 		mv := randMultiView(rng, 16, 3)
+		sameSet(t, fmt.Sprintf("trial %d wRNG", trial),
+			WeakRNG{}.SelectWeakInto(mv, nil, s), refWeakRNGSelect(mv))
 		for _, r := range []float64{0, 150, 275} {
 			m := WeakMST{Range: r}
 			sameSet(t, fmt.Sprintf("trial %d wMST range %g", trial, r),

@@ -1,11 +1,8 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-
-	"mstc/internal/geom"
 )
 
 // WeakProtocol selects logical neighbors from a weakly consistent view
@@ -34,20 +31,29 @@ func (w WeakRNG) SelectWeak(v MultiView) []int {
 	return w.SelectWeakInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectWeakInto implements WeakScratchSelector.
+// SelectWeakInto implements WeakScratchSelector. cMax(u, w) is computed
+// once per witness, and cMax(w, v) only once cMin(u,v) > cMax(u,w) holds:
+// cMin(u,v) > max(a, b) holds exactly when it exceeds both, so the output
+// is that of the plain double loop (TestWeakKernelsMatchReference).
+//
 //manet:noalloc
-func (WeakRNG) SelectWeakInto(v MultiView, dst []int, _ *Scratch) []int {
+func (WeakRNG) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
+	cMaxU := grown(s.costs, len(v.Neighbors))[:0]
+	for _, w := range v.Neighbors {
+		_, cMaxUW := CostRange(v.Self.Positions, w.Positions, DistanceCost)
+		cMaxU = append(cMaxU, cMaxUW)
+	}
+	s.costs = cMaxU
 	start := len(dst)
 	for _, n := range v.Neighbors {
 		cMinUV, _ := CostRange(v.Self.Positions, n.Positions, DistanceCost)
 		removed := false
-		for _, w := range v.Neighbors {
-			if w.ID == n.ID {
+		for j, w := range v.Neighbors {
+			if w.ID == n.ID || !(cMinUV > cMaxU[j]) {
 				continue
 			}
-			_, cMaxUW := CostRange(v.Self.Positions, w.Positions, DistanceCost)
 			_, cMaxWV := CostRange(w.Positions, n.Positions, DistanceCost)
-			if cMinUV > math.Max(cMaxUW, cMaxWV) {
+			if cMinUV > math.Max(cMaxU[j], cMaxWV) {
 				removed = true
 				break
 			}
@@ -79,6 +85,7 @@ func (m WeakMST) SelectWeak(v MultiView) []int {
 }
 
 // SelectWeakInto implements WeakScratchSelector.
+//
 //manet:noalloc
 func (m WeakMST) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	selfIdx := s.multiViewNodes(v)
@@ -123,13 +130,14 @@ func (s WeakSPT) SelectWeak(v MultiView) []int {
 }
 
 // SelectWeakInto implements WeakScratchSelector.
+//
 //manet:noalloc
 func (sp WeakSPT) SelectWeakInto(v MultiView, dst []int, s *Scratch) []int {
 	if sp.Alpha < 1 {
 		panic(fmt.Sprintf("topology: EnergyCost alpha %g < 1", sp.Alpha))
 	}
 	//lint:ignore noalloc the closure captures only sp (by value) and does not escape fillWeakMatrix, so it stays on the stack; the conformance test pins zero allocs
-	cost := func(d float64) float64 { return math.Pow(d, sp.Alpha) + sp.Fixed }
+	cost := func(d float64) float64 { return energyPow(d, sp.Alpha) + sp.Fixed }
 	selfIdx := s.multiViewNodes(v)
 	s.fillWeakMatrix(sp.Range, cost)
 	dist := s.denseShortest(len(s.pos), selfIdx)
@@ -193,24 +201,16 @@ func (s *Scratch) fillWeakMatrix(maxRange float64, fn CostFn) {
 	}
 }
 
-// denseMinimax is minimaxFromSelf over the scratch matrix: the relaxation
-// and the heap's (key, node) total order are identical, so it pops the same
-// node sequence and returns bit-identical keys.
+// denseMinimax is the bottleneck shortest path from src over the scratch
+// matrix: per node, the least over paths of the largest edge weight. It
+// settles nodes in nextUnsettled's (key, index) order and returns the keys
+// of the reference minimaxFromSelf bit for bit.
 func (s *Scratch) denseMinimax(n, src int) []float64 {
-	s.dist = grown(s.dist, n)
-	s.done = grown(s.done, n)
-	for i := 0; i < n; i++ {
-		s.dist[i] = math.Inf(1)
-		s.done[i] = false
-	}
-	s.dist[src] = 0
-	s.heap = s.heap[:0]
-	s.heap.push(nodeKey{key: 0, node: int32(src)})
-	for len(s.heap) > 0 {
-		it := s.heap.pop()
-		u := int(it.node)
-		if s.done[u] {
-			continue
+	s.startKeys(n, src)
+	for {
+		u := s.nextUnsettled(n)
+		if u < 0 {
+			return s.dist
 		}
 		s.done[u] = true
 		row := s.w[u*n : u*n+n]
@@ -218,33 +218,23 @@ func (s *Scratch) denseMinimax(n, src int) []float64 {
 			if v == u || s.done[v] {
 				continue
 			}
-			nk := math.Max(s.dist[u], row[v])
-			if nk < s.dist[v] {
+			if nk := math.Max(s.dist[u], row[v]); nk < s.dist[v] {
 				s.dist[v] = nk
-				s.heap.push(nodeKey{key: nk, node: int32(v)})
 			}
 		}
 	}
-	return s.dist
 }
 
-// denseShortest is shortestFromSelf over the scratch matrix, with the same
-// +Inf-edge skip and strict-improvement relaxation.
+// denseShortest is the additive shortest path from src over the scratch
+// matrix, skipping +Inf (unusable) edges. It settles nodes in
+// nextUnsettled's (distance, index) order and returns the distances of the
+// reference shortestFromSelf bit for bit.
 func (s *Scratch) denseShortest(n, src int) []float64 {
-	s.dist = grown(s.dist, n)
-	s.done = grown(s.done, n)
-	for i := 0; i < n; i++ {
-		s.dist[i] = math.Inf(1)
-		s.done[i] = false
-	}
-	s.dist[src] = 0
-	s.heap = s.heap[:0]
-	s.heap.push(nodeKey{key: 0, node: int32(src)})
-	for len(s.heap) > 0 {
-		it := s.heap.pop()
-		u := int(it.node)
-		if s.done[u] {
-			continue
+	s.startKeys(n, src)
+	for {
+		u := s.nextUnsettled(n)
+		if u < 0 {
+			return s.dist
 		}
 		s.done[u] = true
 		row := s.w[u*n : u*n+n]
@@ -254,150 +244,7 @@ func (s *Scratch) denseShortest(n, src int) []float64 {
 			}
 			if nd := s.dist[u] + row[v]; nd < s.dist[v] {
 				s.dist[v] = nd
-				s.heap.push(nodeKey{key: nd, node: int32(v)})
 			}
 		}
 	}
-	return s.dist
 }
-
-// multiGraph is the dense pessimistic-cost graph over a MultiView: nodes in
-// ascending id order, edge weight = cMax, edges restricted to pairs whose
-// cMax certifies the link exists (cMax <= fn(Range)). It is the reference
-// implementation the scratch kernels above are tested against.
-type multiGraph struct {
-	ids     []int
-	idx     map[int]int
-	selfIdx int
-	w       [][]float64 // cMax, +Inf if unusable
-}
-
-func newMultiGraph(v MultiView, maxRange float64, fn CostFn) *multiGraph {
-	n := len(v.Neighbors) + 1
-	type entry struct {
-		id  int
-		pos []geom.Point
-	}
-	entries := make([]entry, 0, n)
-	placed := false
-	for _, nb := range v.Neighbors {
-		if !placed && v.Self.ID < nb.ID {
-			entries = append(entries, entry{v.Self.ID, v.Self.Positions})
-			placed = true
-		}
-		entries = append(entries, entry{nb.ID, nb.Positions})
-	}
-	if !placed {
-		entries = append(entries, entry{v.Self.ID, v.Self.Positions})
-	}
-	mg := &multiGraph{
-		ids: make([]int, n),
-		idx: make(map[int]int, n),
-		w:   make([][]float64, n),
-	}
-	limit := math.Inf(1)
-	if maxRange > 0 && !math.IsInf(maxRange, 1) {
-		limit = fn(maxRange)
-	}
-	for i, e := range entries {
-		mg.ids[i] = e.id
-		mg.idx[e.id] = i
-		if e.id == v.Self.ID {
-			mg.selfIdx = i
-		}
-		mg.w[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		mg.w[i][i] = 0
-		for j := i + 1; j < n; j++ {
-			_, cMax := CostRange(entries[i].pos, entries[j].pos, fn)
-			if cMax > limit {
-				cMax = math.Inf(1)
-			}
-			mg.w[i][j] = cMax
-			mg.w[j][i] = cMax
-		}
-	}
-	return mg
-}
-
-// minimaxFromSelf returns, per node index, the minimal over paths from self
-// of the maximal edge weight along the path (bottleneck shortest path).
-func (mg *multiGraph) minimaxFromSelf() []float64 {
-	n := len(mg.ids)
-	key := make([]float64, n)
-	done := make([]bool, n)
-	for i := range key {
-		key[i] = math.Inf(1)
-	}
-	key[mg.selfIdx] = 0
-	pq := &f64Heap{{node: mg.selfIdx, key: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(f64Item)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for v := 0; v < n; v++ {
-			if v == u || done[v] {
-				continue
-			}
-			nk := math.Max(key[u], mg.w[u][v])
-			if nk < key[v] {
-				key[v] = nk
-				heap.Push(pq, f64Item{node: v, key: nk})
-			}
-		}
-	}
-	return key
-}
-
-// shortestFromSelf returns additive shortest-path distances from self over
-// the pessimistic weights.
-func (mg *multiGraph) shortestFromSelf() []float64 {
-	n := len(mg.ids)
-	dist := make([]float64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[mg.selfIdx] = 0
-	pq := &f64Heap{{node: mg.selfIdx, key: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(f64Item)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for v := 0; v < n; v++ {
-			if v == u || done[v] || math.IsInf(mg.w[u][v], 1) {
-				continue
-			}
-			if nd := dist[u] + mg.w[u][v]; nd < dist[v] {
-				dist[v] = nd
-				heap.Push(pq, f64Item{node: v, key: nd})
-			}
-		}
-	}
-	return dist
-}
-
-type f64Item struct {
-	node int
-	key  float64
-}
-
-type f64Heap []f64Item
-
-func (h f64Heap) Len() int { return len(h) }
-func (h f64Heap) Less(i, j int) bool {
-	if h[i].key != h[j].key { //lint:ignore float-eq exact compare keeps the heap's total order deterministic
-		return h[i].key < h[j].key
-	}
-	return h[i].node < h[j].node
-}
-func (h f64Heap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *f64Heap) Push(x any)   { *h = append(*h, x.(f64Item)) }
-func (h *f64Heap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
