@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-json check bench bench-compare faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke fuzz-smoke
+.PHONY: build test race vet lint lint-json check bench layer-bench-smoke bench-compare faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -157,6 +157,12 @@ traffic-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/hello
 	$(GO) test -run '^$$' -fuzz '^FuzzGilbertElliott$$' -fuzztime 10s ./internal/channel
+
+# One iteration of every per-layer benchmark under internal/ (spatial,
+# radio, topology kernels, ...), which `make bench` never reaches: it runs
+# only the root package.
+layer-bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Gate the hot path against the committed baseline trajectory: three
 # repetitions of BenchmarkSingleRun, compared by minimum ns/op; fails on a

@@ -95,8 +95,8 @@ type selCache struct {
 
 // positionSource resolves a node's exact position at a simulated instant.
 // The serial engine's selection context reads positions through the radio
-// medium (whose per-instant memo fronts the shared leg cursor); each
-// parallel domain context reads through its own mobility.Cursor. Both
+// medium (which fronts the shared leg cursor); each parallel domain
+// context reads through its own mobility.Cursor. Both
 // resolve from the same immutable trajectory legs, so the answers are
 // bit-identical — the interface only decouples who owns the mutable scan
 // state.
@@ -154,6 +154,11 @@ type Network struct {
 
 	recvBuf []int
 
+	// metric-sampler scratch: every node's transmission range and physical
+	// degree at the sample instant
+	sampleRange []float64
+	sampleDeg   []int
+
 	// The serial selection context (promoted methods: nw.updateSelection
 	// and friends). Parallel domain contexts live in parRun.
 	selCtx
@@ -199,6 +204,9 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		rng:   root.Sub('n'),
 		ch:    ch,
 		nodes: make([]*node, n),
+
+		sampleRange: make([]float64, n),
+		sampleDeg:   make([]int, n),
 	}
 	nw.selCtx.cfg = &nw.cfg
 	nw.selCtx.pos = med
@@ -743,12 +751,15 @@ func (sc *selCtx) setSelection(nd *node, sel []int, actual float64) {
 
 // sampleMetrics records the per-node transmission range and degrees.
 func (nw *Network) sampleMetrics(now sim.Time) {
-	for _, nd := range nw.nodes {
+	for i, nd := range nw.nodes {
+		nw.sampleRange[i] = nd.txRange
+	}
+	nw.med.ReceiverCountsAt(now, nw.sampleRange, nw.sampleDeg)
+	for i, nd := range nw.nodes {
 		nw.rangeSum += nd.txRange
 		nw.rangeSamples++
 		nw.logDegSum += float64(len(nd.logical))
-		nw.recvBuf = nw.med.ReceiversAt(now, nd.id, nd.txRange, nw.recvBuf[:0])
-		nw.phyDegSum += float64(len(nw.recvBuf))
+		nw.phyDegSum += float64(nw.sampleDeg[i])
 		nw.degSamples++
 	}
 }

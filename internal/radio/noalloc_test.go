@@ -11,8 +11,9 @@ import (
 
 // TestNoallocAnnotationsConform pins every //manet:noalloc annotation in
 // this package with testing.AllocsPerRun: the per-window domain assignment
-// must allocate nothing when appending into a recycled dst. Coverage is
-// cross-checked against the annotation scan in both directions.
+// must allocate nothing when appending into a recycled dst, and the metric
+// sampler's degree sweep nothing at all, with and without loss. Coverage
+// is cross-checked against the annotation scan in both directions.
 func TestNoallocAnnotationsConform(t *testing.T) {
 	dg, err := NewDomainGrid(geom.Square(900), 4)
 	if err != nil {
@@ -25,8 +26,30 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	}
 	dst := make([]int, 0, len(pts))
 
+	model := newWaypointModel(t, 100, 20, 60, 3)
+	var media []*Medium
+	for _, loss := range []float64{0, 0.3} {
+		med, err := NewMedium(model, Config{LossRate: loss}, xrand.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		media = append(media, med)
+	}
+	ranges := make([]float64, model.N())
+	for i := range ranges {
+		ranges[i] = rng.Uniform(0, 400)
+	}
+	counts := make([]int, model.N())
+	at := 0.0
+
 	measured := map[string]func(){
 		"DomainGrid.AssignInto": func() { dst = dg.AssignInto(pts, dst[:0]) },
+		"Medium.ReceiverCountsAt": func() {
+			at += 0.1
+			for _, med := range media {
+				med.ReceiverCountsAt(at, ranges, counts)
+			}
+		},
 	}
 
 	annotated, err := lint.NoallocFuncs(".")

@@ -23,6 +23,12 @@
 // freshly built grid's. The grid is rebuilt only once the inflation
 // 2·vmax·Δ exceeds a slack budget (one grid cell by default), turning the
 // per-event cost from O(n) into O(neighborhood) amortized.
+//
+// The metric sampler re-anchors the grid: ReceiverCountsAt resolves every
+// position at the sample instant (its degree sweep needs them all anyway),
+// rebuilds the grid exactly there and counts each node's receivers from
+// the indexed positions. Queries between samples then inflate their radius
+// by at most 2·vmax/SampleRate rather than up to the slack budget.
 package radio
 
 import (
@@ -76,32 +82,18 @@ func (c *Config) setDefaults() {
 // radius and exact-position filtering, so results never depend on the cache
 // state. A Medium is single-goroutine, like the Engine that drives it.
 type Medium struct {
-	model mobility.Model
-	cur   *mobility.Cursor
-	cfg   Config
-	rng   *xrand.Source
-	vmax  float64
+	cur  *mobility.Cursor
+	cfg  Config
+	rng  *xrand.Source
+	vmax float64
 
-	// bounded-staleness grid state
-	grid    *spatial.Index
-	gridPos []geom.Point // positions the grid was built from (at gridAt)
-	gridAt  float64
-	gridOK  bool
-	cand    []int // scratch for inflated-radius candidates
-
-	// exact-instant cache backing PositionsAt
-	pos   []geom.Point
-	at    float64
-	fresh bool
-
-	// per-instant memoized exact positions: repeated queries at the same
-	// instant (candidate filtering, metric sweeps) reuse the cursor's
-	// answer instead of re-evaluating the trajectory. stamp[id] == epoch
-	// marks exact[id] as computed at lastT.
-	exact []geom.Point
-	stamp []uint64
-	epoch uint64
-	lastT float64
+	// bounded-staleness grid state: the grid indexes every node's exact
+	// position at gridAt
+	grid   *spatial.Index
+	gridAt float64
+	gridOK bool
+	pos    []geom.Point // every node's position at gridAt
+	cand   []int        // scratch for inflated-radius candidates
 
 	// collision-model state (see collision.go)
 	txSeq uint64
@@ -109,7 +101,7 @@ type Medium struct {
 
 	// ch is the attached non-ideal channel (nil = ideal). Transmissions —
 	// and only transmissions — pass through its loss chains; geometric
-	// queries (ReceiversAt, PositionsAt) stay loss-free so metrics and
+	// queries (ReceiversAt, ReceiverCountsAt) stay loss-free so metrics and
 	// effective-topology snapshots measure the radio, not the channel.
 	ch *channel.Model
 }
@@ -131,19 +123,16 @@ func NewMedium(model mobility.Model, cfg Config, rng *xrand.Source) (*Medium, er
 	if err != nil {
 		return nil, err
 	}
+	n := model.N()
+	grid.Reserve(n)
 	return &Medium{
-		model:   model,
-		cur:     mobility.NewCursor(model),
-		cfg:     cfg,
-		rng:     rng,
-		vmax:    model.MaxSpeed(),
-		grid:    grid,
-		gridPos: make([]geom.Point, model.N()),
-		pos:     make([]geom.Point, model.N()),
-		exact:   make([]geom.Point, model.N()),
-		stamp:   make([]uint64, model.N()),
-		epoch:   1,
-		cand:    make([]int, 0, 64),
+		cur:  mobility.NewCursor(model),
+		cfg:  cfg,
+		rng:  rng,
+		vmax: model.MaxSpeed(),
+		grid: grid,
+		pos:  make([]geom.Point, n),
+		cand: make([]int, 0, 64),
 	}, nil
 }
 
@@ -155,47 +144,10 @@ func (m *Medium) Delay() float64 { return m.cfg.Delay }
 // medium behaves exactly as it did before the channel subsystem existed.
 func (m *Medium) SetChannel(ch *channel.Model) { m.ch = ch }
 
-// Channel returns the attached channel model (nil = ideal).
-func (m *Medium) Channel() *channel.Model { return m.ch }
-
-// N returns the node count.
-func (m *Medium) N() int { return m.model.N() }
-
-// posAt returns node id's exact position at t through the per-instant memo:
-// the first query at a new instant advances the epoch, later queries for the
-// same id at the same instant are a stamp check and an array load.
-func (m *Medium) posAt(id int, t float64) geom.Point {
-	if t != m.lastT { //lint:ignore float-eq cache key: same simulated instant, exact by construction
-		m.epoch++
-		m.lastT = t
-	}
-	if m.stamp[id] == m.epoch {
-		return m.exact[id]
-	}
-	p := m.cur.PositionAt(id, t)
-	m.exact[id] = p
-	m.stamp[id] = m.epoch
-	return p
-}
-
 // PositionAt returns node id's position at time t (single query, served by
-// the medium's monotone leg cursor behind the per-instant memo).
+// the medium's monotone leg cursor).
 func (m *Medium) PositionAt(id int, t float64) geom.Point {
-	return m.posAt(id, t)
-}
-
-// PositionsAt returns all node positions at time t. The returned slice is
-// owned by the medium and valid until the next call.
-func (m *Medium) PositionsAt(t float64) []geom.Point {
-	if m.fresh && m.at == t { //lint:ignore float-eq cache key: positions were built at exactly this simulated instant
-		return m.pos
-	}
-	for id := range m.pos {
-		m.pos[id] = m.posAt(id, t)
-	}
-	m.at = t
-	m.fresh = true
-	return m.pos
+	return m.cur.PositionAt(id, t)
 }
 
 // inflation returns the query-radius inflation that makes the grid built at
@@ -220,10 +172,14 @@ func (m *Medium) ensureGrid(t float64) {
 			return
 		}
 	}
-	for id := range m.gridPos {
-		m.gridPos[id] = m.posAt(id, t)
-	}
-	m.grid.Build(m.gridPos)
+	m.buildGrid(t)
+}
+
+// buildGrid resolves every node's position at t in one cursor sweep and
+// re-anchors the grid there.
+func (m *Medium) buildGrid(t float64) {
+	m.pos = m.cur.ResolveAllInto(m.pos[:0], t)
+	m.grid.Build(m.pos)
 	m.gridAt = t
 	m.gridOK = true
 }
@@ -236,7 +192,7 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 		return dst
 	}
 	m.ensureGrid(t)
-	p := m.posAt(sender, t)
+	p := m.cur.PositionAt(sender, t)
 	start := len(dst)
 	m.cand = m.grid.WithinUnsorted(p, r+m.inflation(t), m.cand[:0])
 	r2 := r * r
@@ -247,7 +203,7 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 		// Exact filter: candidate sets may grow with staleness, but this
 		// test over true positions at t is the same one a fresh grid
 		// performs, so the receiver set is identical either way.
-		if m.posAt(id, t).Dist2(p) <= r2 {
+		if m.cur.PositionAt(id, t).Dist2(p) <= r2 {
 			dst = append(dst, id)
 		}
 	}
@@ -266,6 +222,37 @@ func (m *Medium) ReceiversAt(t float64, sender int, r float64, dst []int) []int 
 	return dst
 }
 
+// ReceiverCountsAt sets counts[id] to the number of nodes that receive a
+// transmission sent by id at time t with range ranges[id] — exactly
+// len(ReceiversAt(t, id, ranges[id], nil)), losses included — for every
+// node. It is the metric sampler's degree sweep: the grid is rebuilt at t,
+// where it is exact, so each count is a scan of indexed positions with no
+// candidate list, sort or position lookup; the rebuilt grid stays as the
+// staleness anchor for the queries that follow.
+//
+//manet:noalloc
+func (m *Medium) ReceiverCountsAt(t float64, ranges []float64, counts []int) {
+	m.buildGrid(t)
+	for id, r := range ranges {
+		counts[id] = 0
+		if r <= 0 {
+			continue
+		}
+		p := m.pos[id]
+		if m.cfg.LossRate <= 0 {
+			// The sender is indexed at p itself, so the scan counts it.
+			counts[id] = m.grid.CountWithin(p, r) - 1
+			continue
+		}
+		m.cand = m.grid.WithinUnsorted(p, r, m.cand[:0])
+		for _, v := range m.cand {
+			if v != id && !m.LostAt(t, id, v) {
+				counts[id]++
+			}
+		}
+	}
+}
+
 // LostAt reports whether receiver id's copy of a transmission by sender at
 // instant t is dropped by the medium's loss process (Config.LossRate).
 // Loss is a pure function of (t, sender, id): the draw comes from a
@@ -277,7 +264,7 @@ func (m *Medium) LostAt(t float64, sender, id int) bool {
 	if m.cfg.LossRate <= 0 {
 		return false
 	}
-	d := m.rng.Derive('t', math.Float64bits(t), uint64(sender), uint64(id))
+	d := m.rng.Derive('t', math.Float64bits(t), uint64(sender), uint64(id)) //lint:ignore noalloc Derive never retains its labels, so the slice stays on the stack (pinned by AllocsPerRun)
 	return d.Float64() < m.cfg.LossRate
 }
 

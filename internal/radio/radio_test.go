@@ -78,22 +78,6 @@ func TestReceiversTrackMobility(t *testing.T) {
 	}
 }
 
-func TestPositionsAtCaching(t *testing.T) {
-	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 2)}
-	m := staticMedium(t, pts, Config{})
-	a := m.PositionsAt(5)
-	b := m.PositionsAt(5)
-	if &a[0] != &b[0] {
-		t.Error("same-instant queries should reuse the cache")
-	}
-	if a[0] != geom.Pt(1, 1) || a[1] != geom.Pt(2, 2) {
-		t.Errorf("positions wrong: %v", a)
-	}
-	if m.PositionAt(1, 5) != geom.Pt(2, 2) {
-		t.Error("PositionAt wrong")
-	}
-}
-
 func TestLossRate(t *testing.T) {
 	pts := make([]geom.Point, 101)
 	for i := range pts {
@@ -128,23 +112,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if m.Delay() != 0.001 {
 		t.Errorf("Delay = %v", m.Delay())
-	}
-	if m.N() != 1 {
-		t.Errorf("N = %d", m.N())
-	}
-}
-
-func BenchmarkReceiversAt(b *testing.B) {
-	pts := mobility.UniformPoints(arena, 100, xrand.New(1))
-	model := mobility.NewStatic(arena, pts, 1e9)
-	m, err := NewMedium(model, Config{}, xrand.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]int, 0, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Distinct times defeat the cache: worst case.
-		buf = m.ReceiversAt(float64(i), i%100, 250, buf[:0])
 	}
 }

@@ -2,18 +2,21 @@
 // for fast fixed-radius neighbor queries.
 //
 // The radio model asks "which nodes are within range r of point p right
-// now?" once per transmission, and the snapshot analyzer asks for all pairs
-// within the normal range at every sample instant. With n nodes spread over
-// the arena, bucketing by a cell size on the order of the query radius makes
-// both expected O(k) in the number of results instead of O(n).
+// now?" once per transmission, and "how many?" once per node at every
+// metric sample. With n nodes spread over the arena, bucketing by a cell
+// size on the order of the query radius makes both expected O(k) in the
+// number of results instead of O(n).
 //
-// All query results are returned in ascending node-id order so downstream
-// consumers remain deterministic.
+// The grid is stored flat in cell order: a counting sort lays the ids out
+// cell by cell (row-major cells, ascending ids inside each cell) next to a
+// copy of their positions in the same order, so a row of adjacent cells is
+// one contiguous run and a disc query is a few linear scans.
 package spatial
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mstc/internal/geom"
@@ -28,8 +31,10 @@ type Index struct {
 	cell  float64
 	nx    int
 	ny    int
-	cells [][]int32
-	pts   []geom.Point
+	start []int32      // cell c holds ids[start[c]:start[c+1]]; len nx·ny+1
+	ids   []int32      // node ids in (cell, id) order
+	pts   []geom.Point // pts[k] is node ids[k]'s indexed position
+	cellK []int32      // Build scratch: each point's cell
 }
 
 // NewIndex creates an index over the arena with the given cell size.
@@ -49,7 +54,7 @@ func NewIndex(arena geom.Rect, cell float64) (*Index, error) {
 		cell:  cell,
 		nx:    nx,
 		ny:    ny,
-		cells: make([][]int32, nx*ny),
+		start: make([]int32, nx*ny+1),
 	}, nil
 }
 
@@ -63,42 +68,56 @@ func MustIndex(arena geom.Rect, cell float64) *Index {
 	return ix
 }
 
+// cellOf returns p's cell, clamping points outside the arena into the
+// nearest edge cell.
 func (ix *Index) cellOf(p geom.Point) (cx, cy int) {
-	cx = int((p.X - ix.arena.Min.X) / ix.cell)
-	cy = int((p.Y - ix.arena.Min.Y) / ix.cell)
-	if cx < 0 {
-		cx = 0
-	} else if cx >= ix.nx {
-		cx = ix.nx - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= ix.ny {
-		cy = ix.ny - 1
-	}
+	cx = min(max(int((p.X-ix.arena.Min.X)/ix.cell), 0), ix.nx-1)
+	cy = min(max(int((p.Y-ix.arena.Min.Y)/ix.cell), 0), ix.ny-1)
 	return cx, cy
 }
 
-// Build (re)indexes the given positions; the point at index i belongs to
-// node id i. The slice is retained until the next Build, so callers must not
-// mutate it while querying.
-func (ix *Index) Build(points []geom.Point) {
-	for i := range ix.cells {
-		ix.cells[i] = ix.cells[i][:0]
-	}
-	ix.pts = points
-	for id, p := range points {
-		cx, cy := ix.cellOf(p)
-		c := cy*ix.nx + cx
-		ix.cells[c] = append(ix.cells[c], int32(id))
-	}
+// Reserve sizes the index for n points, so that Build of up to n points
+// allocates nothing.
+func (ix *Index) Reserve(n int) {
+	ix.ids = slices.Grow(ix.ids[:0], n)
+	ix.pts = slices.Grow(ix.pts[:0], n)
+	ix.cellK = slices.Grow(ix.cellK[:0], n)
 }
 
-// Len returns the number of indexed points.
-func (ix *Index) Len() int { return len(ix.pts) }
-
-// Position returns the indexed position of node id.
-func (ix *Index) Position(id int) geom.Point { return ix.pts[id] }
+// Build (re)indexes the given positions; the point at index i belongs to
+// node id i. The index keeps its own copy, so the caller may reuse points
+// as soon as Build returns. It grows on demand (see Reserve).
+//
+//manet:noalloc
+func (ix *Index) Build(points []geom.Point) {
+	n := len(points)
+	ix.Reserve(n)
+	ix.ids, ix.pts, ix.cellK = ix.ids[:n], ix.pts[:n], ix.cellK[:n]
+	// Counting sort: count per cell, turn the counts into running ends,
+	// then place ids in descending order while stepping each cell's end
+	// back, which leaves start[c] at the cell's first slot and ascending
+	// ids inside it.
+	clear(ix.start)
+	for id, p := range points {
+		cx, cy := ix.cellOf(p)
+		c := int32(cy*ix.nx + cx)
+		ix.cellK[id] = c
+		ix.start[c]++
+	}
+	var end int32
+	for c := range ix.start[:len(ix.start)-1] {
+		end += ix.start[c]
+		ix.start[c] = end
+	}
+	ix.start[len(ix.start)-1] = int32(n)
+	for id := n - 1; id >= 0; id-- {
+		c := ix.cellK[id]
+		ix.start[c]--
+		k := ix.start[c]
+		ix.ids[k] = int32(id)
+		ix.pts[k] = points[id]
+	}
+}
 
 // Within appends to dst the ids of all indexed nodes within distance r of p
 // (inclusive), in ascending id order, and returns the extended slice.
@@ -114,6 +133,8 @@ func (ix *Index) Within(p geom.Point, r float64, dst []int) []int {
 // scan order (row-major cells, ascending ids inside each cell) — a fixed,
 // deterministic order, just not globally ascending. Hot paths that filter
 // the candidates further can sort the smaller filtered set instead.
+//
+//manet:noalloc
 func (ix *Index) WithinUnsorted(p geom.Point, r float64, dst []int) []int {
 	if r < 0 {
 		return dst
@@ -123,56 +144,35 @@ func (ix *Index) WithinUnsorted(p geom.Point, r float64, dst []int) []int {
 	cx1, cy1 := ix.cellOf(geom.Pt(p.X+r, p.Y+r))
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * ix.nx
-		for cx := cx0; cx <= cx1; cx++ {
-			for _, id := range ix.cells[row+cx] {
-				if ix.pts[id].Dist2(p) <= r2 {
-					dst = append(dst, int(id))
-				}
+		lo, hi := ix.start[row+cx0], ix.start[row+cx1+1]
+		for k, q := range ix.pts[lo:hi] {
+			if q.Dist2(p) <= r2 {
+				dst = append(dst, int(ix.ids[int(lo)+k]))
 			}
 		}
 	}
 	return dst
 }
 
-// WithinOf is Within centered on node id's own position, with id itself
-// excluded from the result.
-func (ix *Index) WithinOf(id int, r float64, dst []int) []int {
-	start := len(dst)
-	dst = ix.Within(ix.pts[id], r, dst)
-	out := dst[start:start]
-	for _, v := range dst[start:] {
-		if v != id {
-			out = append(out, v)
-		}
-	}
-	return dst[:start+len(out)]
-}
-
-// Pairs calls fn(i, j) for every pair of distinct indexed nodes with
-// distance at most r, with i < j, in deterministic (lexicographic) order.
-func (ix *Index) Pairs(r float64, fn func(i, j int)) {
+// CountWithin returns how many indexed points lie within distance r of p
+// (inclusive): len(WithinUnsorted(p, r, nil)) without building the list.
+//
+//manet:noalloc
+func (ix *Index) CountWithin(p geom.Point, r float64) int {
 	if r < 0 {
-		return
+		return 0
 	}
-	buf := make([]int, 0, 64)
-	for i := range ix.pts {
-		buf = ix.Within(ix.pts[i], r, buf[:0])
-		for _, j := range buf {
-			if j > i {
-				fn(i, j)
+	r2 := r * r
+	count := 0
+	cx0, cy0 := ix.cellOf(geom.Pt(p.X-r, p.Y-r))
+	cx1, cy1 := ix.cellOf(geom.Pt(p.X+r, p.Y+r))
+	for cy := cy0; cy <= cy1; cy++ {
+		row := cy * ix.nx
+		for _, q := range ix.pts[ix.start[row+cx0]:ix.start[row+cx1+1]] {
+			if q.Dist2(p) <= r2 {
+				count++
 			}
 		}
 	}
-}
-
-// BruteWithin is the O(n) reference implementation of Within, used for
-// differential testing and as a fallback for tiny n.
-func BruteWithin(points []geom.Point, p geom.Point, r float64, dst []int) []int {
-	r2 := r * r
-	for id := range points {
-		if points[id].Dist2(p) <= r2 {
-			dst = append(dst, id)
-		}
-	}
-	return dst
+	return count
 }
