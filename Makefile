@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-json check bench layer-bench-smoke bench-compare faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke fuzz-smoke
+.PHONY: build test race vet lint lint-json check size bench layer-bench-smoke bench-compare faults-smoke resume-smoke parallel-smoke fleet-smoke traffic-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -173,3 +173,11 @@ bench-compare:
 		$(GO) run ./cmd/benchreport -baseline $(BASELINE) -gate BenchmarkSingleRun -o /dev/null
 
 check: build vet lint test race
+
+# The two code-size counts ROADMAP tracks: non-test Go lines and non-test
+# lint:ignore suppressions, over the tracked files outside the separate
+# benchmark/ module.
+SIZE_FILES = git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/'
+size:
+	@echo "non-test Go lines:            $$($(SIZE_FILES) | xargs cat | wc -l)"
+	@echo "non-test lint:ignore count:   $$($(SIZE_FILES) | xargs cat | grep -c 'lint:ignore')"

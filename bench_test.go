@@ -402,14 +402,12 @@ func BenchmarkEpidemic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nw, err := manet.NewNetwork(model, manet.Config{
 			Protocol: topology.MST{Range: 250}, Seed: uint64(i),
+			Epidemic: manet.EpidemicConfig{Window: 10, Messages: 3},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err = nw.RunEpidemic(20, manet.EpidemicConfig{Window: 10, Messages: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = nw.Run(20).Epidemic
 	}
 	b.ReportMetric(res.Delivered, "delivered/ratio")
 }

@@ -108,8 +108,6 @@ func main() {
 		domains      = flag.Int("domains", 0, "region-parallel engine: domains x domains spatial grid (0 = serial engine)")
 		workers      = flag.Int("workers", 0, "region-parallel worker goroutines (requires -domains); results are bit-identical to serial")
 		engWorkers   = flag.Int("engine-workers", 0, "alias for -workers, matching paperfig's spelling (there -workers means run-level parallelism)")
-		churnUp      = flag.Float64("churn-up", 0, "mean node up-time (s); with -churn-down, enables failure injection")
-		churnDown    = flag.Float64("churn-down", 0, "mean node outage (s)")
 		recordPath   = flag.String("record", "", "record the mobility trace to this file and exit")
 		replayPath   = flag.String("replay", "", "replay a recorded mobility trace instead of random waypoint")
 		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -178,7 +176,7 @@ func main() {
 		Loss: *lossRate, LossModel: *lossModel, LossBurst: *lossBurst,
 		DelayMin: *delayMin, DelayMax: *delayMax,
 		Churn: *churnFrac, Outage: *churnOutage,
-	}.buildChannel(*churnUp, *churnDown, *txDur)
+	}.buildChannel(*txDur)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -201,7 +199,6 @@ func main() {
 			CDSForward:        *cdsFwd,
 		},
 		SnapshotEvery:   *snapshotDt,
-		Churn:           manet.ChurnConfig{MeanUp: *churnUp, MeanDown: *churnDown},
 		PosNoise:        *posNoise,
 		Domains:         *domains,
 		ParallelWorkers: *workers,
@@ -236,32 +233,35 @@ func main() {
 		}
 		cfg.FloodRate = 0
 	}
-	if *unicastRate > 0 || *epidemicWin > 0 {
+	if *unicastRate > 0 {
+		cfg.Unicast = manet.UnicastConfig{Rate: *unicastRate}
+		cfg.FloodRate = 0
+	}
+	if *epidemicWin > 0 {
+		cfg.Epidemic = manet.EpidemicConfig{Window: *epidemicWin, Messages: 5}
 		cfg.FloodRate = 0
 	}
 	nw, err := manet.NewNetwork(model, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := nw.Run(*duration)
+
 	if *unicastRate > 0 {
-		ures, err := nw.RunUnicast(*duration, manet.UnicastConfig{Rate: *unicastRate})
-		if err != nil {
-			log.Fatal(err)
-		}
+		ures := res.Unicast
 		fmt.Printf("unicast delivered   %.4f  (%d probes, %.1f avg hops)\n", ures.Delivered, ures.Probes, ures.AvgHops)
 		fmt.Printf("failures            %d local minima, %d range failures\n", ures.LocalMinima, ures.RangeFailures)
 		return
 	}
 	if *epidemicWin > 0 {
-		eres, err := nw.RunEpidemic(*duration, manet.EpidemicConfig{Window: *epidemicWin, Messages: 5})
-		if err != nil {
-			log.Fatal(err)
+		eres := res.Epidemic
+		if eres.Messages == 0 {
+			log.Fatalf("-duration %g is too short for the warm-up plus the -epidemic %g s window: no message was scored", *duration, *epidemicWin)
 		}
 		fmt.Printf("epidemic delivered  %.4f within %gs  (mean delay %.2fs, %d messages)\n",
 			eres.Delivered, *epidemicWin, eres.MeanDelay, eres.Messages)
 		return
 	}
-	res := nw.Run(*duration)
 
 	if *trafficMode != "" {
 		tr := res.Traffic

@@ -48,16 +48,12 @@ func main() {
 	for _, window := range []float64{1, 2, 5, 10, 20} {
 		nw, err := manet.NewNetwork(model, manet.Config{
 			Protocol: topology.MST{Range: 250}, Seed: 5,
+			Epidemic: manet.EpidemicConfig{Window: window, Messages: 6},
 		})
 		if err != nil {
 			panic(err)
 		}
-		res, err := nw.RunEpidemic(duration, manet.EpidemicConfig{
-			Window: window, Messages: 6,
-		})
-		if err != nil {
-			panic(err)
-		}
+		res := nw.Run(duration).Epidemic
 		fmt.Printf("%-12g %-12.3f %.2f\n", window, res.Delivered, res.MeanDelay)
 	}
 	fmt.Println("\nmobility itself carries messages across partitions: a deadline of a")

@@ -14,7 +14,7 @@ import (
 // changed substream labels, and is a bug — not a baseline to re-pin.
 //
 // History: the original digests were captured on the commit preceding the
-// channel subsystem and survived it unchanged. Two deliberate re-pins
+// channel subsystem and survived it unchanged. Three deliberate re-pins
 // since:
 //
 //  1. Flood forwarding moved onto the region-parallel engine: the forward
@@ -29,9 +29,15 @@ import (
 //     prints struct fields by name, so the representation changed while
 //     every pre-existing value stayed bit-identical — proven by the Fig6
 //     render digest below surviving the same commit unchanged.
+//  3. The unicast and epidemic probes became Config workloads driven by
+//     Run, which added a zero-valued Epidemic field to manet.Result. The
+//     %#v text of every golden result is byte-identical to the previous
+//     one once ", Epidemic:manet.EpidemicResult{Delivered:0, MeanDelay:0,
+//     Messages:0}" is removed; the Fig6, traffic and routing renders did
+//     not move.
 
 const (
-	goldenResultsDigest = "44bc42e4b65e5a10fca7d41c113720fb91cf7f45693c491feb0ba8fd72d550c8"
+	goldenResultsDigest = "a1a68592c985e3f119f5853a0b576d56e5197981a81305d820280dc042d6aea6"
 	goldenFig6Digest    = "f242ebe6c3a814b894a89957acf473157def4e58503965fac317ed714497ccdc"
 )
 
@@ -85,6 +91,24 @@ func TestTrafficGoldenDigest(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != goldenTrafficDigest {
 		t.Errorf("FigTraffic render drifted from the golden digest:\n got %s\nwant %s",
 			got, goldenTrafficDigest)
+	}
+}
+
+// TestRoutingGoldenDigest pins the complete FigRouting render for RNG at a
+// tiny scale: greedy unicast probes (substream-free endpoint draws on the
+// network stream) over the same hello schedule as the flood figures.
+func TestRoutingGoldenDigest(t *testing.T) {
+	const goldenRoutingDigest = "5d9fdd1db7607fdddd7b10fe7b5eb02e1acfab1e2c349fc6b7e6c86d3077d0c0"
+	o := goldenOptions()
+	o.Duration = 8
+	f, err := FigRouting(o, "RNG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(f.String() + "\n" + f.Dat()))
+	if got := hex.EncodeToString(sum[:]); got != goldenRoutingDigest {
+		t.Errorf("FigRouting render drifted from the golden digest:\n got %s\nwant %s",
+			got, goldenRoutingDigest)
 	}
 }
 

@@ -174,9 +174,9 @@ type Run struct {
 	// routed by the configured protocol (AODV/OLSR) — the routing
 	// comparison varies it per task. Flooding is forced off for such runs.
 	Traffic traffic.Config
-	// Unicast, when Rate > 0, replaces the flood workload with greedy
-	// geographic unicast probes (RunUnicast) — the FigRouting extension.
-	// Flooding is forced off for such runs.
+	// Unicast, when enabled, replaces the flood workload with greedy
+	// geographic unicast probes (manet.Config.Unicast) — the FigRouting
+	// extension. Flooding is forced off for such runs.
 	Unicast manet.UnicastConfig
 	// Rep is the repetition index in [0, Reps).
 	Rep int
@@ -267,7 +267,7 @@ func (r Run) key() uint64 {
 		word(math.Float64bits(r.Traffic.RouteLifetime))
 		word(math.Float64bits(r.Traffic.TCInterval))
 	}
-	if r.Unicast.Rate > 0 {
+	if r.Unicast.Enabled() {
 		mix(3)
 		word(math.Float64bits(r.Unicast.Rate))
 		word(uint64(r.Unicast.MaxHops))
@@ -356,8 +356,9 @@ func executeOne(o Options, r Run) (manet.Result, error) {
 		cfg.FloodRate = 0
 		cfg.Traffic = r.Traffic
 	}
-	if r.Unicast.Rate > 0 {
+	if r.Unicast.Enabled() {
 		cfg.FloodRate = 0
+		cfg.Unicast = r.Unicast
 	}
 	if r.Mech.WeakK > 0 {
 		w, err := topology.WeakByName(r.Protocol, o.NormalRange)
@@ -375,13 +376,6 @@ func executeOne(o Options, r Run) (manet.Result, error) {
 	nw, err := manet.NewNetwork(model, cfg)
 	if err != nil {
 		return manet.Result{}, err
-	}
-	if r.Unicast.Rate > 0 {
-		ur, err := nw.RunUnicast(o.Duration, r.Unicast)
-		if err != nil {
-			return manet.Result{}, err
-		}
-		return manet.Result{Protocol: cfg.ProtocolName(), Unicast: ur}, nil
 	}
 	return nw.Run(o.Duration), nil
 }

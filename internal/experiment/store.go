@@ -89,7 +89,7 @@ func (r Run) desc() string {
 	if r.Traffic.Enabled() {
 		d += fmt.Sprintf(" traffic=%+v", r.Traffic)
 	}
-	if r.Unicast.Rate > 0 {
+	if r.Unicast.Enabled() {
 		d += fmt.Sprintf(" unicast=%+v", r.Unicast)
 	}
 	return d

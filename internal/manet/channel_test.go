@@ -144,12 +144,6 @@ func TestChannelConfigConflicts(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"double churn", func() Config {
-			c := Config{Protocol: topology.RNG{}, Seed: 1}
-			c.Churn = ChurnConfig{MeanUp: 5, MeanDown: 1}
-			c.Channel.Churn = channel.ChurnConfig{MeanUp: 5, MeanDown: 1}
-			return c
-		}()},
 		{"delay with collision MAC", func() Config {
 			c := Config{Protocol: topology.RNG{}, Seed: 1}
 			c.Radio.TxDuration = 0.001
@@ -161,6 +155,16 @@ func TestChannelConfigConflicts(t *testing.T) {
 			c.Channel.Loss = channel.LossConfig{Rate: 1.5}
 			return c
 		}()},
+		// Greedy probes and epidemic spread never consult node failures, so
+		// churn would be silently ignored.
+		{"unicast with churn", Config{
+			Protocol: topology.RNG{}, Seed: 1, Unicast: UnicastConfig{Rate: 1},
+			Channel: channel.Config{Churn: channel.ChurnConfig{MeanUp: 5, MeanDown: 1}},
+		}},
+		{"epidemic with churn", Config{
+			Protocol: topology.RNG{}, Seed: 1, Epidemic: EpidemicConfig{Window: 1, Messages: 1},
+			Channel: channel.Config{Churn: channel.ChurnConfig{MeanUp: 5, MeanDown: 1}},
+		}},
 	}
 	for _, tc := range cases {
 		if _, err := NewNetwork(model, tc.cfg); err == nil {

@@ -65,17 +65,6 @@ type Mechanisms struct {
 	Proactive bool
 }
 
-// ChurnConfig parameterizes node-failure injection.
-type ChurnConfig struct {
-	// MeanUp is the mean up-time in seconds before a failure.
-	MeanUp float64
-	// MeanDown is the mean outage duration in seconds.
-	MeanDown float64
-}
-
-// Enabled reports whether churn injection is active.
-func (c ChurnConfig) Enabled() bool { return c.MeanUp > 0 && c.MeanDown > 0 }
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// NormalRange is the normal (maximum) transmission range in meters
@@ -101,15 +90,26 @@ type Config struct {
 	// dedicated substreams. The zero value is the ideal channel and is
 	// provably bit-identical to not having the subsystem at all.
 	Channel channel.Config
+	// A run carries at most one probe workload: FloodRate, Traffic,
+	// Unicast or Epidemic.
+	//
 	// FloodRate is floods per second used to probe weak connectivity
 	// (10 in the paper). 0 disables flooding.
 	FloodRate float64
 	// Traffic configures the unicast traffic subsystem: CBR flows routed
 	// by an AODV-style on-demand or OLSR-style proactive protocol over
 	// the controlled logical topology (see traffic.go). The zero value
-	// disables it. Mutually exclusive with FloodRate, the collision MAC,
-	// and CDS-restricted flooding.
+	// disables it. Mutually exclusive with the collision MAC and
+	// CDS-restricted flooding.
 	Traffic traffic.Config
+	// Unicast configures greedy geographic unicast probes (see
+	// unicast.go). The zero value disables them. Excludes channel churn:
+	// probes are routed without consulting node failures.
+	Unicast UnicastConfig
+	// Epidemic configures store-carry-forward message dissemination (see
+	// epidemic.go). The zero value disables it. Excludes channel churn:
+	// messages spread without consulting node failures.
+	Epidemic EpidemicConfig
 	// FloodSettle is how long after origination a flood is scored
 	// (every reachable node has forwarded by then). Default 0.5 s.
 	FloodSettle float64
@@ -122,12 +122,6 @@ type Config struct {
 	// (snapshot) connectivity of the directed effective topology every
 	// that many seconds.
 	SnapshotEvery float64
-	// Churn, when both fields are positive, injects node failures: each
-	// node alternates between up and down states with exponentially
-	// distributed durations. A down node neither beacons, receives, nor
-	// forwards — the failure model behind the fault-tolerance discussion
-	// of §2.2 (k-connected topologies resist node failures).
-	Churn ChurnConfig
 	// PosNoise, when positive, adds independent Gaussian noise (std-dev
 	// in meters per axis) to every advertised position — imprecise
 	// location information (§1). With consistent views the logical
@@ -180,6 +174,9 @@ func (c Config) withDefaults() Config {
 	c.SampleRate = defaultf(c.SampleRate, 10)
 	c.EnergyAlpha = defaultf(c.EnergyAlpha, 2)
 	c.Traffic = c.Traffic.WithDefaults()
+	if c.Epidemic.Enabled() {
+		c.Epidemic.Check = defaultf(c.Epidemic.Check, 0.25)
+	}
 	return c
 }
 
@@ -208,9 +205,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: CDSForward requires PhysicalNeighbors")
 	case c.Mech.CDSForward && c.Mech.SelfPruning:
 		return fmt.Errorf("manet: CDSForward and SelfPruning are mutually exclusive")
-	case (c.Churn.MeanUp < 0 || c.Churn.MeanDown < 0) ||
-		(c.Churn.MeanUp > 0) != (c.Churn.MeanDown > 0):
-		return fmt.Errorf("manet: churn needs both MeanUp and MeanDown positive (or both zero)")
 	case c.PosNoise < 0:
 		return fmt.Errorf("manet: negative PosNoise %g", c.PosNoise)
 	case c.Domains < 0:
@@ -219,15 +213,22 @@ func (c Config) validate() error {
 		return fmt.Errorf("manet: negative ParallelWorkers %d", c.ParallelWorkers)
 	case c.ParallelWorkers > 0 && c.Domains == 0:
 		return fmt.Errorf("manet: ParallelWorkers set but Domains is 0 (the serial engine has no workers)")
-	case c.Channel.Churn.Enabled() && c.Churn.Enabled():
-		return fmt.Errorf("manet: churn configured both directly (Config.Churn) and through the channel (Config.Channel.Churn)")
 	case c.Channel.Delay.Enabled() && c.Radio.TxDuration > 0:
 		// Collision resolution happens at airtime end; deferring delivery
 		// further would consult a pruned interference log. Model one
 		// non-ideal timing effect at a time.
 		return fmt.Errorf("manet: channel delay and the collision MAC (Radio.TxDuration) are mutually exclusive")
-	case c.Traffic.Enabled() && c.FloodRate > 0:
-		return fmt.Errorf("manet: traffic and flooding are mutually exclusive (one probe workload per run)")
+	case c.FloodRate > 0 && (c.Traffic.Enabled() || c.Unicast.Enabled() || c.Epidemic.Enabled()),
+		c.Traffic.Enabled() && (c.Unicast.Enabled() || c.Epidemic.Enabled()),
+		c.Unicast.Enabled() && c.Epidemic.Enabled():
+		return fmt.Errorf("manet: flooding, traffic, unicast and epidemic are mutually exclusive (one probe workload per run)")
+	case c.Unicast.Enabled() && (c.Unicast.Rate <= 0 || c.Unicast.MaxHops < 0):
+		return fmt.Errorf("manet: unicast needs Rate > 0 and MaxHops >= 0, got %+v", c.Unicast)
+	case c.Epidemic.Enabled() && (c.Epidemic.Window <= 0 || c.Epidemic.Check < 0 || c.Epidemic.Messages < 1):
+		return fmt.Errorf("manet: epidemic needs Window > 0, Check >= 0 and Messages >= 1, got %+v", c.Epidemic)
+	case c.Channel.Churn.Enabled() && (c.Unicast.Enabled() || c.Epidemic.Enabled()):
+		// Greedy probes and epidemic spread never consult node failures.
+		return fmt.Errorf("manet: unicast and epidemic probes ignore node failures, so they exclude channel churn")
 	case c.Traffic.Enabled() && c.Radio.TxDuration > 0:
 		return fmt.Errorf("manet: traffic and the collision MAC (Radio.TxDuration) are mutually exclusive")
 	case c.Traffic.Enabled() && c.Mech.CDSForward:

@@ -1,10 +1,6 @@
 package manet
 
-import (
-	"fmt"
-
-	"mstc/internal/sim"
-)
+import "mstc/internal/sim"
 
 // Epidemic (store-carry-forward) message dissemination — the
 // mobility-assisted management of §2.2, combined with the mobility-tolerant
@@ -18,7 +14,8 @@ import (
 // new components (the mobility-assisted part). Delivery is scored against a
 // deadline window.
 
-// EpidemicConfig parameterizes a dissemination run.
+// EpidemicConfig parameterizes the dissemination workload
+// (Config.Epidemic). The zero value disables it.
 type EpidemicConfig struct {
 	// Window is the delivery deadline in seconds after origination.
 	Window float64
@@ -26,30 +23,15 @@ type EpidemicConfig struct {
 	// how often carriers probe for new effective-topology contacts.
 	Check float64
 	// Messages is how many messages to inject, spaced evenly across the
-	// run so each has a full Window before the run ends.
+	// run so each has a full Window before the run ends. A run shorter
+	// than the warm-up plus Window injects none.
 	Messages int
 }
 
-func (c EpidemicConfig) withDefaults() EpidemicConfig {
-	if c.Check == 0 { //lint:ignore float-eq zero value is the unset sentinel, exact by construction
-		c.Check = 0.25
-	}
-	return c
-}
+// Enabled reports whether any field is set.
+func (c EpidemicConfig) Enabled() bool { return c != EpidemicConfig{} }
 
-func (c EpidemicConfig) validate() error {
-	switch {
-	case c.Window <= 0:
-		return fmt.Errorf("manet: epidemic Window must be positive, got %g", c.Window)
-	case c.Check <= 0:
-		return fmt.Errorf("manet: epidemic Check must be positive, got %g", c.Check)
-	case c.Messages < 1:
-		return fmt.Errorf("manet: epidemic Messages must be >= 1, got %d", c.Messages)
-	}
-	return nil
-}
-
-// EpidemicResult aggregates a dissemination run.
+// EpidemicResult aggregates the dissemination workload.
 type EpidemicResult struct {
 	// Delivered is the mean fraction of non-source nodes reached within
 	// the window.
@@ -72,39 +54,30 @@ type epidemicMsg struct {
 	delivered int // non-source deliveries within the window
 }
 
-// RunEpidemic drives the network for duration seconds with the usual
-// beaconing and selection active (so the effective topology evolves exactly
-// as in Run) and measures epidemic dissemination instead of flooding.
-// FloodRate is ignored; mechanisms (buffer, physical neighbors, ...) shape
-// the effective topology the messages ride on.
-func (nw *Network) RunEpidemic(duration float64, ec EpidemicConfig) (EpidemicResult, error) {
-	ec = ec.withDefaults()
-	if err := ec.validate(); err != nil {
-		return EpidemicResult{}, err
-	}
+// epidemicState accumulates the dissemination workload while the run
+// advances: the in-flight messages and the totals of retired ones.
+type epidemicState struct {
+	msgs       []*epidemicMsg
+	messages   int
+	delivered  int
+	pairs      int
+	delaySum   float64
+	delayCount int
+}
+
+// startEpidemic schedules Config.Epidemic's injections and contact checks.
+// The beaconing and selection of Run shape the effective topology the
+// messages ride on, exactly as for floods. Messages are injected evenly
+// between the warm-up and duration − Window, so each is scored at its
+// deadline inside the run; a run too short for one window injects none.
+func (nw *Network) startEpidemic(duration float64) {
+	ec := nw.cfg.Epidemic
+	ep := &epidemicState{}
+	nw.epi = ep
 	warmup := 2 * nw.cfg.HelloMax
 	if duration < warmup+ec.Window {
-		return EpidemicResult{}, fmt.Errorf("manet: duration %g too short for warmup %g + window %g",
-			duration, warmup, ec.Window)
+		return
 	}
-	if !nw.cfg.Mech.Reactive {
-		for _, nd := range nw.nodes {
-			nd := nd
-			//lint:ignore substream deliberate: shares the 'f' hello-offset labels with Run — the entry points are mutually exclusive on one Network
-			first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
-			nw.eng.Every(first, nd.interval, func(now sim.Time) {
-				nw.sendHello(nd, now)
-			})
-		}
-	} else {
-		nw.scheduleReactiveRounds()
-	}
-
-	var msgs []*epidemicMsg
-	res := EpidemicResult{}
-	totalDelivered, totalPairs, delaySum, delayCount := 0, 0, 0.0, 0
-
-	// Injection schedule: evenly spaced so every message gets its window.
 	span := duration - warmup - ec.Window
 	for i := 0; i < ec.Messages; i++ {
 		at := warmup
@@ -121,35 +94,38 @@ func (nw *Network) RunEpidemic(duration float64, ec EpidemicConfig) (EpidemicRes
 			}
 			m.has[m.src] = true
 			m.reached = 1
-			msgs = append(msgs, m)
+			ep.msgs = append(ep.msgs, m)
 			nw.spread(m, now) // immediate flood within the current component
 			nw.eng.Schedule(m.deadline, func(sim.Time) {
-				totalDelivered += m.delivered
-				totalPairs += len(nw.nodes) - 1
-				delaySum += m.delaySum
-				delayCount += m.delivered
-				res.Messages++
+				ep.delivered += m.delivered
+				ep.pairs += len(nw.nodes) - 1
+				ep.delaySum += m.delaySum
+				ep.delayCount += m.delivered
+				ep.messages++
 				m.reached = -1 // retire
 			})
 		})
 	}
 
 	nw.eng.Every(warmup+ec.Check, ec.Check, func(now sim.Time) {
-		for _, m := range msgs {
+		for _, m := range ep.msgs {
 			if m.reached > 0 && m.reached < len(m.has) {
 				nw.spread(m, now)
 			}
 		}
 	})
+}
 
-	nw.eng.Run(duration)
-	if totalPairs > 0 {
-		res.Delivered = float64(totalDelivered) / float64(totalPairs)
+// result finalizes the delivered fraction and mean delay.
+func (ep *epidemicState) result() EpidemicResult {
+	res := EpidemicResult{Messages: ep.messages}
+	if ep.pairs > 0 {
+		res.Delivered = float64(ep.delivered) / float64(ep.pairs)
 	}
-	if delayCount > 0 {
-		res.MeanDelay = delaySum / float64(delayCount)
+	if ep.delayCount > 0 {
+		res.MeanDelay = ep.delaySum / float64(ep.delayCount)
 	}
-	return res, nil
+	return res
 }
 
 // spread infects every node reachable from the current carrier set over the

@@ -2,6 +2,7 @@ package manet
 
 import (
 	"math"
+	"slices"
 
 	"mstc/internal/cds"
 	"mstc/internal/channel"
@@ -26,7 +27,6 @@ type node struct {
 	ownLen        int                         // live entries in ownHist
 	ownHist       [ownHistDepth]hello.Message // own recent advertisements, newest first
 	logical       []int                       // current logical neighbor ids (ascending)
-	isLogical     []bool                      // membership mask, len = n
 	actualRange   float64
 	txRange       float64 // actual + buffer, clamped
 	cdsMarked     bool    // own Wu-Li marked status (CDSForward mechanism)
@@ -36,6 +36,12 @@ type node struct {
 
 // isDown reports whether the node is failed at time t.
 func (nd *node) isDown(t float64) bool { return t < nd.downUntil }
+
+// isLogical reports whether id is one of nd's current logical neighbors.
+func (nd *node) isLogical(id int) bool {
+	_, ok := slices.BinarySearch(nd.logical, id)
+	return ok
+}
 
 // ownHistDepth bounds the per-node history of own advertisements kept for
 // pinned-version (proactive) selection.
@@ -170,7 +176,9 @@ type Network struct {
 	freeDel   *delivery      // freelist of pooled flood deliveries
 	freeHello *helloDelivery // freelist of pooled delayed "Hello" deliveries
 
-	traf *trafficState // traffic subsystem state; nil = disabled
+	traf *trafficState  // traffic subsystem state; nil = disabled
+	uni  *unicastState  // unicast probe state; nil = disabled
+	epi  *epidemicState // epidemic dissemination state; nil = disabled
 
 	domGrid *radio.DomainGrid // region-parallel decomposition; nil = serial
 	par     *parRun           // set while runParallel drives the run: floods route through the domain barriers
@@ -232,9 +240,9 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		k = 3
 		expiry = math.Max(expiry, 3*cfg.HelloMax)
 	}
-	// Bulk-allocate the per-node state: one node array, one shared hello
-	// table backing, one flat membership mask — O(1) allocations where the
-	// per-node constructors cost O(n). Each hello table gets room for four
+	// Bulk-allocate the per-node state: one node array and one shared hello
+	// table backing — O(1) allocations where the per-node constructors cost
+	// O(n). Each hello table gets room for four
 	// times the expected number of nodes within NormalRange at uniform
 	// density, capped at n. A table also keeps senders whose entries have
 	// expired, and the headroom covers that and clustering, so tables
@@ -246,7 +254,6 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		capacity = int(min(float64(n), math.Ceil(4*float64(n-1)*math.Pi*r*r/area)))
 	}
 	tables := hello.NewTables(k, expiry, n, n, capacity)
-	masks := make([]bool, n*n)
 	// Logical neighbor sets are small (2-8 for every protocol in the
 	// registry), so per-node selection storage — the live set plus the
 	// cache's replay copy — comes from three shared backing arrays, each
@@ -263,7 +270,6 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		nd.id = i
 		nd.interval = sub.Uniform(cfg.HelloMin, cfg.HelloMax)
 		nd.table = tables[i]
-		nd.isLogical = masks[i*n : (i+1)*n : (i+1)*n]
 		nd.logical = logBack[i*selCap : i*selCap : (i+1)*selCap]
 		nd.cache.sel = selBack[i*selCap : i*selCap : (i+1)*selCap]
 		nd.cache.selPos = posBack[i*selCap : i*selCap : (i+1)*selCap]
@@ -275,8 +281,9 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 // Engine exposes the event engine (for tests and custom instrumentation).
 func (nw *Network) Engine() *sim.Engine { return nw.eng }
 
-// Run executes the simulation for the given duration (seconds) and returns
-// the aggregated result.
+// Run executes the simulation for the given duration (seconds), driving the
+// configured probe workload (floods, traffic, unicast or epidemic), and
+// returns the aggregated result.
 //
 // With Config.Domains >= 1 (and a configuration the region-parallel engine
 // supports — see parallelEligible) the "Hello" traffic runs through the
@@ -294,28 +301,20 @@ func (nw *Network) Run(duration float64) Result {
 			nd := nd
 			// First Hello at a uniform offset within one interval keeps
 			// beacons asynchronous.
-			//lint:ignore substream deliberate: Run/RunUnicast/RunEpidemic are mutually exclusive entry points sharing the 'f' hello-offset labels so hello timing is identical across traffic modes
+			//lint:ignore substream deliberate: the region-parallel engine (parallel.go) replays these 'f' hello-offset draws bit-identically; the two engines are mutually exclusive per run
 			first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
 			nw.eng.Every(first, nd.interval, func(now sim.Time) {
 				nw.sendHello(nd, now)
 			})
 		}
 	}
-	// The fail/recover process serves two configurations with one schedule:
-	// the legacy direct knob (Config.Churn, substream 'c' of the network
-	// stream — unchanged draws, so pre-channel runs stay bit-identical) and
-	// the channel's fault process, which draws from the channel's own
-	// per-node substreams. Validation rejects configuring both.
-	meanUp, meanDown := nw.cfg.Churn.MeanUp, nw.cfg.Churn.MeanDown
-	churnRNG := func(id int) *xrand.Source { return nw.rng.Sub('c', uint64(id)) }
-	if !nw.cfg.Churn.Enabled() && nw.ch.ChurnEnabled() {
-		meanUp, meanDown = nw.ch.ChurnMeans()
-		churnRNG = nw.ch.ChurnRNG
-	}
-	if meanUp > 0 && meanDown > 0 {
+	// The channel's fail/recover process draws from the channel's own
+	// per-node substreams.
+	if nw.ch.ChurnEnabled() {
+		meanUp, meanDown := nw.ch.ChurnMeans()
 		for _, nd := range nw.nodes {
 			nd := nd
-			rng := churnRNG(nd.id)
+			rng := nw.ch.ChurnRNG(nd.id)
 			var fail func(now sim.Time)
 			fail = func(now sim.Time) {
 				down := rng.ExpFloat64() * meanDown
@@ -343,6 +342,12 @@ func (nw *Network) Run(duration float64) Result {
 	}
 	if nw.cfg.Traffic.Enabled() {
 		nw.startTraffic(duration)
+	}
+	if nw.cfg.Unicast.Enabled() {
+		nw.startUnicast()
+	}
+	if nw.cfg.Epidemic.Enabled() {
+		nw.startEpidemic(duration)
 	}
 	sampleStart := 2 * nw.cfg.HelloMax
 	nw.eng.Every(sampleStart, 1/nw.cfg.SampleRate, func(now sim.Time) {
@@ -374,15 +379,17 @@ func (nw *Network) Run(duration float64) Result {
 // payloads built from the sender's table at send time travel in the
 // packet and feed every receiver's marking state), and the traffic
 // subsystem (route tables and link-state views mutate at arbitrary nodes
-// on every reception, so packet order across domains is semantic). Such
-// configurations silently use the serial engine (results are identical by
-// construction, so the fallback is a performance property, not a semantic
-// one).
+// on every reception, so packet order across domains is semantic). Unicast
+// and epidemic probes also stay serial: they read every node's selection at
+// arbitrary instants. Such configurations silently use the serial engine
+// (results are identical by construction, so the fallback is a performance
+// property, not a semantic one).
 func (nw *Network) parallelEligible() bool {
 	if nw.cfg.Domains < 1 {
 		return false
 	}
-	if nw.cfg.Radio.TxDuration > 0 || nw.cfg.Mech.CDSForward || nw.cfg.Traffic.Enabled() {
+	if nw.cfg.Radio.TxDuration > 0 || nw.cfg.Mech.CDSForward || nw.cfg.Traffic.Enabled() ||
+		nw.cfg.Unicast.Enabled() || nw.cfg.Epidemic.Enabled() {
 		return false
 	}
 	return true
@@ -483,7 +490,7 @@ func (nw *Network) scheduleReactiveRounds() {
 		round++
 		ver := round
 		for _, nd := range nw.nodes {
-			if nw.ch != nil && nd.isDown(now) {
+			if nd.isDown(now) {
 				continue // channel churn: a failed node misses its round
 			}
 			pos := nw.med.PositionAt(nd.id, now)
@@ -738,13 +745,7 @@ func (sc *selCtx) applySelection(nd *node, v topology.View, sel []int) {
 }
 
 func (sc *selCtx) setSelection(nd *node, sel []int, actual float64) {
-	for _, id := range nd.logical {
-		nd.isLogical[id] = false
-	}
 	nd.logical = append(nd.logical[:0], sel...)
-	for _, id := range nd.logical {
-		nd.isLogical[id] = true
-	}
 	nd.actualRange = actual
 	nd.txRange = topology.ExtendedRange(actual, sc.cfg.Mech.Buffer, sc.cfg.NormalRange)
 }
@@ -774,7 +775,7 @@ func (nw *Network) EffectiveDigraphAt(t float64) *graph.Directed {
 	for _, nd := range nw.nodes {
 		buf = nw.med.ReceiversAt(t, nd.id, nd.txRange, buf[:0])
 		for _, v := range buf {
-			if nw.cfg.Mech.PhysicalNeighbors || nd.isLogical[v] {
+			if nw.cfg.Mech.PhysicalNeighbors || nd.isLogical(v) {
 				d.AddArc(nd.id, v)
 			}
 		}
@@ -822,6 +823,12 @@ func (nw *Network) result() Result {
 	if nw.traf != nil {
 		res.Traffic = nw.traf.result()
 	}
+	if nw.uni != nil {
+		res.Unicast = nw.uni.result()
+	}
+	if nw.epi != nil {
+		res.Epidemic = nw.epi.result()
+	}
 	return res
 }
 
@@ -862,9 +869,10 @@ type Result struct {
 	// Traffic aggregates the traffic subsystem, when Config.Traffic
 	// enables it (Mode is "" otherwise).
 	Traffic TrafficResult
-	// Unicast aggregates the greedy-geographic probe workload when the
-	// run was driven through RunUnicast (zero otherwise). Run itself
-	// never fills it; the experiment layer copies the RunUnicast result
-	// here so every workload shares one record type.
+	// Unicast aggregates the greedy-geographic probe workload, when
+	// Config.Unicast enables it (zero otherwise).
 	Unicast UnicastResult
+	// Epidemic aggregates the store-carry-forward workload, when
+	// Config.Epidemic enables it (zero otherwise).
+	Epidemic EpidemicResult
 }

@@ -98,6 +98,10 @@ func TestConfigValidation(t *testing.T) {
 		{Protocol: topology.RNG{}, Mech: Mechanisms{WeakK: 2}}, // no Weak selector
 		{Protocol: topology.RNG{}, FloodRate: -1},
 		{Protocol: topology.RNG{}, Weak: topology.WeakRNG{}, Mech: Mechanisms{WeakK: 2, Reactive: true}},
+		// one probe workload per run
+		{Protocol: topology.RNG{}, FloodRate: 10, Unicast: UnicastConfig{Rate: 1}},
+		{Protocol: topology.RNG{}, FloodRate: 10, Epidemic: EpidemicConfig{Window: 1, Messages: 1}},
+		{Protocol: topology.RNG{}, Unicast: UnicastConfig{Rate: 1}, Epidemic: EpidemicConfig{Window: 1, Messages: 1}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewNetwork(model, cfg); err == nil {
@@ -393,18 +397,17 @@ func TestChurnDegradesButDoesNotCollapse(t *testing.T) {
 	// redundant protocol keeps most of the network reachable; delivery
 	// must sit strictly between the churn-free run and collapse.
 	model := connectedStatic(t, 61, 100, 20)
-	run := func(churn ChurnConfig) Result {
-		nw, err := NewNetwork(model, Config{
-			Protocol: topology.SPT{Alpha: 2, Range: 250}, FloodRate: 10, Seed: 26,
-			Churn: churn,
-		})
+	run := func(churn channel.ChurnConfig) Result {
+		cfg := Config{Protocol: topology.SPT{Alpha: 2, Range: 250}, FloodRate: 10, Seed: 26}
+		cfg.Channel.Churn = churn
+		nw, err := NewNetwork(model, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return nw.Run(20)
 	}
-	clean := run(ChurnConfig{})
-	churned := run(ChurnConfig{MeanUp: 18, MeanDown: 2})
+	clean := run(channel.ChurnConfig{})
+	churned := run(channel.ChurnConfig{MeanUp: 18, MeanDown: 2})
 	if churned.Connectivity >= clean.Connectivity {
 		t.Errorf("churn did not hurt: %.3f vs %.3f", churned.Connectivity, clean.Connectivity)
 	}
@@ -471,19 +474,6 @@ func TestNewNetworkHeapAtLargeN(t *testing.T) {
 	const limit = 64 << 20
 	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > limit {
 		t.Errorf("NewNetwork at n=%d grew the heap by %.1f MB, want at most %d MB", n, float64(grown)/(1<<20), limit>>20)
-	}
-}
-
-func TestChurnValidation(t *testing.T) {
-	model := connectedStatic(t, 1, 10, 5)
-	for _, churn := range []ChurnConfig{
-		{MeanUp: 1},   // one-sided
-		{MeanDown: 1}, // one-sided
-		{MeanUp: -1, MeanDown: 1},
-	} {
-		if _, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Churn: churn}); err == nil {
-			t.Errorf("bad churn accepted: %+v", churn)
-		}
 	}
 }
 

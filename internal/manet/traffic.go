@@ -312,7 +312,7 @@ func (nw *Network) sendTo(p trafficPacket, u, target int, now sim.Time) bool {
 	if !found {
 		return false
 	}
-	if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical[target] {
+	if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical(target) {
 		return false // dropped at the topology layer
 	}
 	nw.scheduleTraffic(p, target, now)
@@ -334,7 +334,7 @@ func (nw *Network) broadcastCtrl(p trafficPacket, u int, now sim.Time) {
 	_, receivers := nw.med.Transmit(now, u, nd.txRange, nw.recvBuf[:0])
 	nw.recvBuf = receivers
 	for _, rid := range receivers {
-		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical[rid] {
+		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical(rid) {
 			continue
 		}
 		nw.scheduleTraffic(p, rid, now)

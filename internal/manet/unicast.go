@@ -1,8 +1,6 @@
 package manet
 
 import (
-	"fmt"
-
 	"mstc/internal/geom"
 	"mstc/internal/sim"
 )
@@ -16,7 +14,8 @@ import (
 // stale views therefore surface as either local minima or range failures,
 // the paper's two failure modes, now per-packet.
 
-// UnicastConfig parameterizes a unicast probing run.
+// UnicastConfig parameterizes the unicast probe workload (Config.Unicast).
+// The zero value disables it.
 type UnicastConfig struct {
 	// Rate is probes per second (source and destination drawn uniformly).
 	Rate float64
@@ -25,17 +24,10 @@ type UnicastConfig struct {
 	MaxHops int
 }
 
-func (c UnicastConfig) validate(n int) error {
-	if c.Rate <= 0 {
-		return fmt.Errorf("manet: unicast Rate must be positive, got %g", c.Rate)
-	}
-	if c.MaxHops < 0 {
-		return fmt.Errorf("manet: negative MaxHops")
-	}
-	return nil
-}
+// Enabled reports whether any field is set.
+func (c UnicastConfig) Enabled() bool { return c != UnicastConfig{} }
 
-// UnicastResult aggregates a unicast probing run.
+// UnicastResult aggregates the unicast probe workload.
 type UnicastResult struct {
 	// Delivered is the fraction of probes that reached their destination.
 	Delivered float64
@@ -50,32 +42,22 @@ type UnicastResult struct {
 	Probes int
 }
 
-// RunUnicast drives the network for duration seconds with normal beaconing
-// and selection, routing greedy unicast probes instead of floods.
-func (nw *Network) RunUnicast(duration float64, uc UnicastConfig) (UnicastResult, error) {
-	if err := uc.validate(len(nw.nodes)); err != nil {
-		return UnicastResult{}, err
-	}
-	maxHops := uc.MaxHops
+// unicastState accumulates the probe workload while the run advances.
+type unicastState struct {
+	res    UnicastResult
+	hopSum int
+}
+
+// startUnicast schedules greedy probes at Config.Unicast.Rate from the
+// warm-up on, each routed at the instant it is originated.
+func (nw *Network) startUnicast() {
+	maxHops := nw.cfg.Unicast.MaxHops
 	if maxHops == 0 {
 		maxHops = 4 * len(nw.nodes)
 	}
-	if nw.cfg.Mech.Reactive {
-		nw.scheduleReactiveRounds()
-	} else {
-		for _, nd := range nw.nodes {
-			nd := nd
-			//lint:ignore substream deliberate: shares the 'f' hello-offset labels with Run — the entry points are mutually exclusive on one Network
-			first := nw.rng.Sub('f', uint64(nd.id)).Uniform(0, nd.interval)
-			nw.eng.Every(first, nd.interval, func(now sim.Time) {
-				nw.sendHello(nd, now)
-			})
-		}
-	}
-	res := UnicastResult{}
-	hopSum := 0
+	nw.uni = &unicastState{}
 	warmup := 2 * nw.cfg.HelloMax
-	nw.eng.Every(warmup, 1/uc.Rate, func(now sim.Time) {
+	nw.eng.Every(warmup, 1/nw.cfg.Unicast.Rate, func(now sim.Time) {
 		//lint:ignore substream historical draw order: probe endpoints ride the root network stream, mirroring originateFlood; a Sub would change unicast digests
 		src := nw.rng.Intn(len(nw.nodes))
 		//lint:ignore substream historical draw order: probe endpoints ride the root network stream, mirroring originateFlood; a Sub would change unicast digests
@@ -83,23 +65,28 @@ func (nw *Network) RunUnicast(duration float64, uc UnicastConfig) (UnicastResult
 		if src == dst {
 			return
 		}
-		nw.routeProbe(src, dst, maxHops, now, &res, &hopSum)
+		nw.routeProbe(src, dst, maxHops, now)
 	})
-	nw.eng.Run(duration)
+}
+
+// result finalizes the delivery ratio and mean hop count.
+func (u *unicastState) result() UnicastResult {
+	res := u.res
 	if res.Probes > 0 {
 		delivered := res.Probes - res.LocalMinima - res.RangeFailures
 		res.Delivered = float64(delivered) / float64(res.Probes)
 		if delivered > 0 {
-			res.AvgHops = float64(hopSum) / float64(delivered)
+			res.AvgHops = float64(u.hopSum) / float64(delivered)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // routeProbe walks one greedy probe hop by hop at a single instant (probe
 // forwarding is orders of magnitude faster than node movement, as with
 // floods).
-func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time, res *UnicastResult, hopSum *int) {
+func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time) {
+	res := &nw.uni.res
 	res.Probes++
 	dstPos := nw.nodes[dst].advertisedPos
 	cur := src
@@ -130,7 +117,7 @@ func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time, res *UnicastR
 		cur = next
 		hops++
 	}
-	*hopSum += hops
+	nw.uni.hopSum += hops
 }
 
 // greedyNext picks nd's forwarding-eligible neighbor whose advertised
@@ -142,7 +129,7 @@ func (nw *Network) greedyNext(nd *node, dst int, target geom.Point, now sim.Time
 	bestD := nd.advertisedPos.Dist2(target)
 	nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
 	for _, m := range nw.msgBuf {
-		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical[m.From] {
+		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical(m.From) {
 			continue
 		}
 		if m.From == dst {

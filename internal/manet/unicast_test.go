@@ -3,22 +3,27 @@ package manet
 import (
 	"testing"
 
+	"mstc/internal/mobility"
 	"mstc/internal/topology"
 )
+
+// runUnicast runs cfg with greedy probes at rate for duration seconds.
+func runUnicast(t *testing.T, model mobility.Model, cfg Config, duration, rate float64) Result {
+	t.Helper()
+	cfg.Unicast = UnicastConfig{Rate: rate}
+	nw, err := NewNetwork(model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw.Run(duration)
+}
 
 func TestUnicastStaticDenseTopologyDelivers(t *testing.T) {
 	// Greedy routing needs a topology without local minima; the dense
 	// uncontrolled graph qualifies on most instances, and everything is
 	// static so no range failures can occur.
 	model := connectedStatic(t, 51, 80, 15)
-	nw, err := NewNetwork(model, Config{Protocol: topology.None{}, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := nw.RunUnicast(15, UnicastConfig{Rate: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runUnicast(t, model, Config{Protocol: topology.None{}, Seed: 21}, 15, 20).Unicast
 	if res.Probes < 100 {
 		t.Fatalf("only %d probes", res.Probes)
 	}
@@ -37,15 +42,7 @@ func TestUnicastGGBeatsMSTGreedy(t *testing.T) {
 	// GG has far fewer greedy local minima than the tree-like MST.
 	model := connectedStatic(t, 53, 100, 15)
 	run := func(p topology.Protocol) UnicastResult {
-		nw, err := NewNetwork(model, Config{Protocol: p, Seed: 22})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := nw.RunUnicast(15, UnicastConfig{Rate: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runUnicast(t, model, Config{Protocol: p, Seed: 22}, 15, 20).Unicast
 	}
 	gg := run(topology.Gabriel{})
 	mst := run(topology.MST{Range: 250})
@@ -59,28 +56,14 @@ func TestUnicastMobilityRangeFailures(t *testing.T) {
 	// failures (outdated information), and a generous buffer plus view
 	// synchronization must improve delivery.
 	model := waypointModel(t, 40, 401)
-	raw, err := NewNetwork(model, Config{Protocol: topology.Gabriel{}, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawRes, err := raw.RunUnicast(20, UnicastConfig{Rate: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rawRes := runUnicast(t, model, Config{Protocol: topology.Gabriel{}, Seed: 23}, 20, 20).Unicast
 	if rawRes.RangeFailures == 0 {
 		t.Error("no range failures at 40 m/s without buffer — implausible")
 	}
-	fixed, err := NewNetwork(model, Config{
+	fixedRes := runUnicast(t, model, Config{
 		Protocol: topology.Gabriel{}, Seed: 23,
 		Mech: Mechanisms{Buffer: 50, ViewSync: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixedRes, err := fixed.RunUnicast(20, UnicastConfig{Rate: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 20, 20).Unicast
 	if fixedRes.Delivered <= rawRes.Delivered {
 		t.Errorf("mobility management did not improve unicast: %.3f vs %.3f",
 			rawRes.Delivered, fixedRes.Delivered)
@@ -89,30 +72,26 @@ func TestUnicastMobilityRangeFailures(t *testing.T) {
 
 func TestUnicastValidation(t *testing.T) {
 	model := connectedStatic(t, 55, 10, 5)
-	nw, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.RunUnicast(5, UnicastConfig{Rate: 0}); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := nw.RunUnicast(5, UnicastConfig{Rate: 1, MaxHops: -1}); err == nil {
-		t.Error("negative MaxHops accepted")
+	for _, uc := range []UnicastConfig{
+		{MaxHops: 3},
+		{Rate: -1},
+		{Rate: 1, MaxHops: -1},
+	} {
+		if _, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Seed: 1, Unicast: uc}); err == nil {
+			t.Errorf("invalid unicast config accepted: %+v", uc)
+		}
 	}
 }
 
 func TestUnicastAccountsEnergy(t *testing.T) {
 	model := connectedStatic(t, 57, 50, 10)
-	nw, err := NewNetwork(model, Config{Protocol: topology.Gabriel{}, Seed: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.RunUnicast(10, UnicastConfig{Rate: 10}); err != nil {
-		t.Fatal(err)
-	}
+	res := runUnicast(t, model, Config{Protocol: topology.Gabriel{}, Seed: 24}, 10, 10)
 	// Unicast hops are data transmissions too.
-	res := nw.result()
 	if res.DataTx == 0 || res.DataEnergy <= 0 {
 		t.Errorf("unicast hops not accounted: tx=%d energy=%v", res.DataTx, res.DataEnergy)
+	}
+	// Beaconing and the metric sampler run as for floods.
+	if res.HelloTx == 0 || res.AvgTxRange <= 0 || res.AvgPhysicalDegree <= 0 {
+		t.Errorf("unicast run reported no hello or range statistics: %+v", res)
 	}
 }
