@@ -156,6 +156,7 @@ traffic-smoke:
 # crasher is written to testdata/fuzz/ and fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/hello
+	$(GO) test -run '^$$' -fuzz '^FuzzRNGKernel$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzGilbertElliott$$' -fuzztime 10s ./internal/channel
 
 # One iteration of every per-layer benchmark under internal/ (spatial,

@@ -36,6 +36,13 @@ type Point struct {
 	X, Y float64
 }
 
+// Site is a node id with a position: one entry of a local view as a
+// "Hello" table lists it and a topology selector reads it.
+type Site struct {
+	ID  int
+	Pos Point
+}
+
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{x, y} }
 

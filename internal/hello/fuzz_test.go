@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mstc/internal/geom"
@@ -97,8 +98,9 @@ func (r *refTable) len() int {
 // the operand. Ops are Observe (weighted 4 of 8), Reset, time advance in
 // quarter seconds, and Observe of an id at or outside the bound, which
 // must panic and change nothing. After every op each query of both tables
-// must match its model, and Version must have moved by exactly the
-// model's mutation count. `go test` runs the seed corpus;
+// must match its model (NeighborsInto's horizon included), and Version
+// must have moved by exactly the model's mutation count. `go test` runs
+// the seed corpus;
 // `go test -fuzz=FuzzTable ./internal/hello` explores further.
 func FuzzTable(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), []byte{0, 0x13, 1, 0x13, 2, 0x12, 0, 0x21, 6, 4, 0x80, 0x13})
@@ -186,7 +188,24 @@ func checkTable(t *testing.T, where string, tb *Table, ref *refTable, base uint6
 		}
 	}
 	dst := []Message{sentinel}
-	check("LatestInto", tb.LatestInto(dst, now), ref.pick(now, func(Message) bool { return true }))
+	latest := ref.pick(now, func(Message) bool { return true })
+	check("LatestInto", tb.LatestInto(dst, now), latest)
+	// NeighborsInto is LatestInto's From and Pos plus StableUntil.
+	siteSentinel := geom.Site{ID: -7, Pos: geom.Pt(-1, -1)}
+	sites, horizon := tb.NeighborsInto([]geom.Site{siteSentinel}, now)
+	if sites[0] != siteSentinel {
+		t.Fatalf("%s: NeighborsInto overwrote dst's prefix", where)
+	}
+	wantSites := make([]geom.Site, 0, len(latest))
+	for _, m := range latest {
+		wantSites = append(wantSites, geom.Site{ID: m.From, Pos: m.Pos})
+	}
+	if !slices.Equal(sites[1:], wantSites) {
+		t.Fatalf("%s: NeighborsInto = %v, want %v", where, sites[1:], wantSites)
+	}
+	if want := ref.stableUntil(now); horizon != want {
+		t.Fatalf("%s: NeighborsInto horizon = %g, want %g", where, horizon, want)
+	}
 	for id := -1; id <= bound; id++ {
 		var want []Message
 		if id >= 0 && id < bound && ref.live(ref.hist[id], now) {

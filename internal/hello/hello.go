@@ -47,7 +47,10 @@ type Message struct {
 // msgs[i*k : (i+1)*k], of which the first nbrs[i].n hold messages by
 // descending version. A neighbor enters the list with its first message
 // and leaves it only on Reset; an expired neighbor stays listed (invisible
-// to every query) and a later message extends its stored history.
+// to every query) and a later message extends its stored history. The
+// list entry also carries the newest message's send time, so liveness and
+// the expiry horizon are read from the dense 16-byte entries without
+// touching the message slots.
 type Table struct {
 	k      int
 	expiry float64
@@ -57,8 +60,12 @@ type Table struct {
 	ver    uint64 // monotone mutation counter (see Version)
 }
 
-// neighbor is one listed sender: its id and the length of its history.
-type neighbor struct{ id, n int }
+// neighbor is one listed sender: its id, the length of its history and the
+// SentAt of its newest (highest-version) message.
+type neighbor struct {
+	id, n  int32
+	sentAt float64
+}
 
 // NewTables returns count tables for sender ids in [0, n), each keeping
 // k >= 1 recent messages per neighbor; entries expire once their newest
@@ -70,7 +77,7 @@ func NewTables(k int, expiry float64, n, count, capacity int) []*Table {
 	if k < 1 {
 		panic(fmt.Sprintf("hello: table with k = %d", k))
 	}
-	if n < 0 || count < 0 {
+	if n < 0 || n > math.MaxInt32 || count < 0 {
 		panic(fmt.Sprintf("hello: tables with n = %d, count = %d", n, count))
 	}
 	capacity = min(max(capacity, 0), n)
@@ -121,11 +128,11 @@ func (t *Table) StableUntil(now float64) float64 {
 	if t.expiry <= 0 {
 		return horizon
 	}
-	for i := range t.nbrs {
+	for i, nb := range t.nbrs {
 		if !t.live(i, now) {
 			continue
 		}
-		if d := t.msgs[i*t.k].SentAt + t.expiry; d < horizon {
+		if d := nb.sentAt + t.expiry; d < horizon {
 			horizon = d
 		}
 	}
@@ -148,24 +155,24 @@ func (t *Table) find(id int) (int, bool) {
 	lo, hi := 0, len(t.nbrs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if t.nbrs[mid].id < id {
+		if int(t.nbrs[mid].id) < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(t.nbrs) && t.nbrs[lo].id == id
+	return lo, lo < len(t.nbrs) && int(t.nbrs[lo].id) == id
 }
 
 // history returns neighbor i's stored messages, newest first, with
 // capacity k.
 func (t *Table) history(i int) []Message {
-	return t.msgs[i*t.k : i*t.k+t.nbrs[i].n : (i+1)*t.k]
+	return t.msgs[i*t.k : i*t.k+int(t.nbrs[i].n) : (i+1)*t.k]
 }
 
 // live reports whether neighbor i's newest message is unexpired at now.
 func (t *Table) live(i int, now float64) bool {
-	return t.expiry <= 0 || now-t.msgs[i*t.k].SentAt <= t.expiry
+	return t.expiry <= 0 || now-t.nbrs[i].sentAt <= t.expiry
 }
 
 // Observe records a received message, evicting the oldest stored message
@@ -182,7 +189,7 @@ func (t *Table) Observe(msg Message) {
 		// neighbors' entries and slots up by one.
 		t.nbrs = append(t.nbrs, neighbor{})
 		copy(t.nbrs[i+1:], t.nbrs[i:])
-		t.nbrs[i] = neighbor{id: msg.From}
+		t.nbrs[i] = neighbor{id: int32(msg.From)}
 		t.msgs = slices.Grow(t.msgs, t.k)[:len(t.msgs)+t.k]
 		copy(t.msgs[(i+1)*t.k:], t.msgs[i*t.k:])
 	}
@@ -209,7 +216,8 @@ func (t *Table) Observe(msg Message) {
 	default:
 		return // older than all k stored versions of a full history
 	}
-	t.nbrs[i].n = len(h)
+	t.nbrs[i].n = int32(len(h))
+	t.nbrs[i].sentAt = h[0].SentAt
 	t.ver++
 }
 
@@ -225,6 +233,28 @@ func (t *Table) LatestInto(dst []Message, now float64) []Message {
 		}
 	}
 	return dst
+}
+
+// NeighborsInto appends the id and newest advertised position of every
+// live neighbor to dst (which may be nil), ascending by neighbor id — the
+// From and Pos of what LatestInto appends, without copying whole messages.
+// It also returns StableUntil(now), computed in the same pass.
+//
+//manet:noalloc
+func (t *Table) NeighborsInto(dst []geom.Site, now float64) ([]geom.Site, float64) {
+	horizon := math.Inf(1)
+	for i, nb := range t.nbrs {
+		if !t.live(i, now) {
+			continue
+		}
+		if t.expiry > 0 {
+			if d := nb.sentAt + t.expiry; d < horizon {
+				horizon = d
+			}
+		}
+		dst = append(dst, geom.Site{ID: int(nb.id), Pos: t.msgs[i*t.k].Pos})
+	}
+	return dst, horizon
 }
 
 // HistoryInto appends the stored messages of the given neighbor, newest

@@ -31,9 +31,11 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 	}
 	now := float64(k + 1)
 	var dst []Message
+	var sites []geom.Site
 
 	accessors := map[string]func(){
 		"Table.LatestInto":    func() { dst = tbl.LatestInto(dst[:0], now) },
+		"Table.NeighborsInto": func() { sites, _ = tbl.NeighborsInto(sites[:0], now) },
 		"Table.HistoryInto":   func() { dst = tbl.HistoryInto(dst[:0], n/2, now) },
 		"Table.VersionedInto": func() { dst = tbl.VersionedInto(dst[:0], ver, now) },
 		"Table.AsOfInto":      func() { dst = tbl.AsOfInto(dst[:0], ver, now) },

@@ -122,7 +122,7 @@ type selCtx struct {
 	pos positionSource
 
 	msgBuf     []hello.Message     // Table.*Into scratch
-	nbrBuf     []topology.NodeInfo // View.Neighbors scratch
+	nbrBuf     []topology.NodeInfo // View.Neighbors and Table.NeighborsInto scratch
 	multiBuf   []topology.MultiNodeInfo
 	posBuf     []geom.Point // flat backing for MultiNodeInfo.Positions
 	histBuf    []hello.Message
@@ -431,12 +431,12 @@ func (nw *Network) sendHello(nd *node, now sim.Time) {
 	if nw.cfg.Mech.CDSForward {
 		nd.cdsMarked = nw.wuLiMarked(nd, now)
 		msg.Marked = nd.cdsMarked
-		nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
+		nw.nbrBuf, _ = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
 		// The neighbor list travels in the stored message, so it must be
 		// freshly allocated (exact-sized) rather than scratch-backed.
-		msg.Neighbors = make([]int, 0, len(nw.msgBuf))
-		for _, m := range nw.msgBuf {
-			msg.Neighbors = append(msg.Neighbors, m.From)
+		msg.Neighbors = make([]int, 0, len(nw.nbrBuf))
+		for _, nb := range nw.nbrBuf {
+			msg.Neighbors = append(msg.Neighbors, nb.ID)
 		}
 	}
 	if nw.traf != nil {
@@ -574,16 +574,13 @@ func (sc *selCtx) updateSelection(nd *node, now sim.Time, selfPos geom.Point) {
 	if sc.replayCached(nd, now, selModeLatest, 0, selfPos) {
 		return
 	}
-	sc.msgBuf = nd.table.LatestInto(sc.msgBuf[:0], now)
-	sc.nbrBuf = sc.nbrBuf[:0]
-	for _, m := range sc.msgBuf {
-		sc.nbrBuf = append(sc.nbrBuf, topology.NodeInfo{ID: m.From, Pos: m.Pos})
-	}
+	var stableUntil float64
+	sc.nbrBuf, stableUntil = nd.table.NeighborsInto(sc.nbrBuf[:0], now)
 	v := topology.View{Self: topology.NodeInfo{ID: nd.id, Pos: selfPos}, Neighbors: sc.nbrBuf}
 	v = v.EnsureCanon()
 	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, v, sc.selBuf[:0], &sc.scratch)
 	sel := sc.selBuf
-	sc.fillCache(nd, now, selModeLatest, 0, selfPos, v, sel)
+	sc.fillCache(nd, now, selModeLatest, 0, selfPos, stableUntil, v, sel)
 	cur := sc.pos.PositionAt(nd.id, now)
 	if cur != selfPos {
 		v.Self.Pos = cur
@@ -606,7 +603,7 @@ func (sc *selCtx) selectFromVersion(nd *node, now sim.Time, ver uint64) {
 	v = v.EnsureCanon()
 	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, v, sc.selBuf[:0], &sc.scratch)
 	sel := sc.selBuf
-	sc.fillCache(nd, now, selModeVersioned, ver, nd.advertisedPos, v, sel)
+	sc.fillCache(nd, now, selModeVersioned, ver, nd.advertisedPos, nd.table.StableUntil(now), v, sel)
 	v.Self.Pos = sc.pos.PositionAt(nd.id, now)
 	sc.applySelection(nd, v, sel)
 }
@@ -630,7 +627,7 @@ func (sc *selCtx) selectAsOf(nd *node, now sim.Time, v uint64) {
 	view = view.EnsureCanon()
 	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, view, sc.selBuf[:0], &sc.scratch)
 	sel := sc.selBuf
-	sc.fillCache(nd, now, selModeAsOf, v, own.Pos, view, sel)
+	sc.fillCache(nd, now, selModeAsOf, v, own.Pos, nd.table.StableUntil(now), view, sel)
 	view.Self.Pos = sc.pos.PositionAt(nd.id, now)
 	sc.applySelection(nd, view, sel)
 }
@@ -642,8 +639,9 @@ func (sc *selCtx) selectAsOf(nd *node, now sim.Time, v uint64) {
 // the fill, at or before the expiry horizon — Table.StableUntil guarantees
 // every table query answers identically across that window). The selected
 // set is replayed as-is; the transmission range is recomputed from the
-// node's current physical position over the cached neighbor positions,
-// which is precisely ActualRange of the miss path's final view.
+// node's current physical position over the cached neighbor positions by
+// topology.ActualRangeFrom, which takes the same maximum as ActualRange on
+// the miss path's final view.
 func (sc *selCtx) replayCached(nd *node, now sim.Time, mode uint8, pin uint64, selfPos geom.Point) bool {
 	c := &nd.cache
 	if sc.cfg.NoSelectionCache || c.mode != mode || c.pin != pin ||
@@ -651,22 +649,16 @@ func (sc *selCtx) replayCached(nd *node, now sim.Time, mode uint8, pin uint64, s
 		now < c.filledAt || now > c.stableUntil {
 		return false
 	}
-	cur := sc.pos.PositionAt(nd.id, now)
-	r := 0.0
-	for _, p := range c.selPos {
-		if d := cur.Dist(p); d > r {
-			r = d
-		}
-	}
-	sc.setSelection(nd, c.sel, r)
+	sc.setSelection(nd, c.sel, topology.ActualRangeFrom(sc.pos.PositionAt(nd.id, now), c.selPos))
 	return true
 }
 
-// fillCache records the just-computed selection with its view fingerprint.
-// Neighbor positions are copied out of the (scratch-backed) view for the
-// hit path's range recomputation; sel and v.Neighbors both ascend by id, so
-// a merge scan pairs them in one pass.
-func (sc *selCtx) fillCache(nd *node, now sim.Time, mode uint8, pin uint64, selfPos geom.Point, v topology.View, sel []int) {
+// fillCache records the just-computed selection with its view fingerprint;
+// stableUntil is the table's StableUntil(now). Neighbor positions are
+// copied out of the (scratch-backed) view for the hit path's range
+// recomputation; sel and v.Neighbors both ascend by id, so a merge scan
+// pairs them in one pass.
+func (sc *selCtx) fillCache(nd *node, now sim.Time, mode uint8, pin uint64, selfPos geom.Point, stableUntil float64, v topology.View, sel []int) {
 	if sc.cfg.NoSelectionCache {
 		return
 	}
@@ -674,7 +666,7 @@ func (sc *selCtx) fillCache(nd *node, now sim.Time, mode uint8, pin uint64, self
 	c.mode, c.pin, c.selfPos = mode, pin, selfPos
 	c.tableVer = nd.table.Version()
 	c.filledAt = now
-	c.stableUntil = nd.table.StableUntil(now)
+	c.stableUntil = stableUntil
 	c.sel = append(c.sel[:0], sel...)
 	c.selPos = c.selPos[:0]
 	j := 0

@@ -626,11 +626,11 @@ func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 	nw.dataEnergy += energyOf(nd.txRange/nw.cfg.NormalRange, nw.cfg.EnergyAlpha)
 	var cover map[int]bool
 	if nw.cfg.Mech.SelfPruning {
-		nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
-		cover = make(map[int]bool, len(nw.msgBuf)+1)
+		nw.nbrBuf, _ = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
+		cover = make(map[int]bool, len(nw.nbrBuf)+1)
 		cover[sender] = true
-		for _, m := range nw.msgBuf {
-			cover[m.From] = true
+		for _, nb := range nw.nbrBuf {
+			cover[nb.ID] = true
 		}
 	}
 	r := nd.txRange

@@ -127,18 +127,18 @@ func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time) {
 func (nw *Network) greedyNext(nd *node, dst int, target geom.Point, now sim.Time) (int, bool) {
 	best := -1
 	bestD := nd.advertisedPos.Dist2(target)
-	nw.msgBuf = nd.table.LatestInto(nw.msgBuf[:0], now)
-	for _, m := range nw.msgBuf {
-		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical(m.From) {
+	nw.nbrBuf, _ = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
+	for _, nb := range nw.nbrBuf {
+		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical(nb.ID) {
 			continue
 		}
-		if m.From == dst {
+		if nb.ID == dst {
 			// Destination in reach beats any geometric progress.
 			return dst, true
 		}
-		if d := m.Pos.Dist2(target); d < bestD {
+		if d := nb.Pos.Dist2(target); d < bestD {
 			bestD = d
-			best = m.From
+			best = nb.ID
 		}
 	}
 	if best == -1 {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 
 	"mstc/internal/geom"
@@ -38,8 +39,45 @@ func benchMultiView() MultiView {
 	return mv
 }
 
-func benchSelect(b *testing.B, p Protocol) {
-	v := benchView()
+// discView returns a view of d neighbors spread uniformly over the disc of
+// radius normalRange around Self, ids in random spatial order.
+func discView(d int) View {
+	rng := xrand.New(uint64(d))
+	v := View{Self: NodeInfo{ID: 0, Pos: geom.Pt(500, 500)}}
+	for len(v.Neighbors) < d {
+		p := geom.Pt(rng.Uniform(250, 750), rng.Uniform(250, 750))
+		if p.Dist(v.Self.Pos) <= normalRange {
+			v.Neighbors = append(v.Neighbors, NodeInfo{ID: len(v.Neighbors) + 1, Pos: p})
+		}
+	}
+	return v
+}
+
+// latticeView returns Self on a 62.5 m lattice with every lattice point
+// within normalRange as a neighbor (48 of them): every witness ties with
+// many others on cost, so the RNG kernel's tie-band path runs throughout.
+func latticeView() View {
+	var pts []geom.Point
+	for x := -4; x <= 4; x++ {
+		for y := -4; y <= 4; y++ {
+			pts = append(pts, geom.Pt(500+62.5*float64(x), 500+62.5*float64(y)))
+		}
+	}
+	return viewOf(pts, 40, normalRange) // pts[40] is the centre point
+}
+
+// BenchmarkRNGSelect sweeps the RNG kernel over view size: the paper's
+// density gives d ≈ 24; d = 64 is a dense neighborhood.
+func BenchmarkRNGSelect(b *testing.B) {
+	for _, d := range []int{8, 24, 64} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) { benchSelectView(b, RNG{}, discView(d)) })
+	}
+	b.Run("lattice", func(b *testing.B) { benchSelectView(b, RNG{}, latticeView()) })
+}
+
+func benchSelect(b *testing.B, p Protocol) { benchSelectView(b, p, benchView()) }
+
+func benchSelectView(b *testing.B, p Protocol, v View) {
 	s := &Scratch{}
 	var dst []int
 	b.ReportAllocs()
@@ -52,7 +90,6 @@ func benchSelect(b *testing.B, p Protocol) {
 	}
 }
 
-func BenchmarkRNGSelect(b *testing.B)     { benchSelect(b, RNG{}) }
 func BenchmarkGabrielSelect(b *testing.B) { benchSelect(b, Gabriel{}) }
 func BenchmarkMSTSelect(b *testing.B)     { benchSelect(b, MST{Range: normalRange}) }
 func BenchmarkSPTSelect(b *testing.B)     { benchSelect(b, SPT{Alpha: 2, Range: normalRange}) }

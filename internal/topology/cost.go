@@ -76,3 +76,39 @@ func LinkLess(c1 float64, u1, v1 int, c2 float64, u2, v2 int) bool {
 	}
 	return v1 < v2
 }
+
+// Squared-distance tie band. Selectors order links by Hypot distance
+// (geom.Point.Dist), and a squared distance dx²+dy² decides that order
+// without a square root whenever it lies outside the other link's band:
+//
+//	if  a < lo(s)  then  Hypot(a's link) < Hypot(s's link)
+//	if  a > hi(s)  then  Hypot(a's link) > Hypot(s's link)
+//
+// where lo(s) = s·(1−2⁻⁴⁰) and hi(s) = s/(1−2⁻⁴⁰), provided s is
+// sqTrusted. Both forms start from the same rounded dx and dy. In the
+// normal range, dx²+dy² is within 2 ulp of its exact value (FMA only
+// tightens this). math.Hypot, computed as p·√(1+(q/p)²), is within 3 ulp.
+// The rounding of lo and hi adds 1 ulp more. Together that is under 20 ulp,
+// 20·2⁻⁵³ relative on the squared scale, while the band is 2⁻⁴⁰ = 8192·2⁻⁵³
+// wide: about 400 times the combined error. A pair inside the band is
+// decided by computing both Hypots, exactly as before.
+//
+// Subnormal and infinite values break the relative bound, so s itself must
+// lie in [2⁻⁹⁶⁰, 2⁹⁶⁰]. Then an underflowing product in a (absolute error
+// below 2⁻¹⁰⁷³) is negligible against the band width (above 2⁻¹⁰⁰¹), a
+// subnormal Hypot belongs to a distance far below √s, and an a that
+// overflows to +Inf belongs to a distance above 2⁵¹¹, far beyond √s ≤ 2⁴⁸⁰.
+// An untrusted s sends every comparison against it to Hypot. A NaN a
+// compares false both ways and so falls in the band.
+const (
+	tieRel    = 0x1p-40
+	sqSafeMin = 0x1p-960
+	sqSafeMax = 0x1p960
+)
+
+// sqTrusted reports whether squared comparisons against s are conclusive
+// outside its tie band.
+func sqTrusted(s float64) bool { return s >= sqSafeMin && s <= sqSafeMax }
+
+// tieBand returns the tie band [lo, hi] around the squared distance s.
+func tieBand(s float64) (lo, hi float64) { return s * (1 - tieRel), s / (1 - tieRel) }

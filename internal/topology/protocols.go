@@ -34,42 +34,90 @@ func (r RNG) Select(v View) []int {
 	return r.SelectInto(v, make([]int, 0, 4), &Scratch{})
 }
 
-// SelectInto implements ScratchSelector.
+// SelectInto implements ScratchSelector. It decides every (link, witness)
+// test exactly as comparing math.Hypot costs under LinkLess would, but on
+// squared distances wherever they are conclusive (see tieBand): Hypot runs
+// only for the rare pair whose squared distances fall in each other's tie
+// band. The squared distance from Self to each witness is computed once;
+// the scan for link (u, v) skips every witness certainly farther from u
+// than v with one comparison and stops at the first witness that removes
+// the link. TestRNGKernelMatchesReference and FuzzRNGKernel pin the output
+// against the historical Hypot double loop.
 //
 //manet:noalloc
 func (RNG) SelectInto(v View, dst []int, s *Scratch) []int {
 	u := v.Self
-	// Cache cost(u, w) per witness: the naive double loop recomputes each
-	// of these d times, and the distance (hypot) dominates the selection
-	// profile. The witness cost cost(w, v) is only needed once the first
-	// LinkLess condition holds, so it is computed lazily — same values,
-	// same comparisons, identical output.
-	cU := grown(s.costs, len(v.Neighbors))[:0]
-	for _, n := range v.Neighbors {
-		cU = append(cU, u.Pos.Dist(n.Pos))
-	}
-	s.costs = cU
-	for i, n := range v.Neighbors {
-		cUV := cU[i]
-		removed := false
-		for j, w := range v.Neighbors {
-			if w.ID == n.ID {
-				continue
-			}
-			if !LinkLess(cU[j], u.ID, w.ID, cUV, u.ID, n.ID) {
-				continue
-			}
-			cWV := w.Pos.Dist(n.Pos)
-			if LinkLess(cWV, w.ID, n.ID, cUV, u.ID, n.ID) {
-				removed = true
-				break
-			}
+	uw2 := grown(s.costs, len(v.Neighbors))[:0]
+	for _, w := range v.Neighbors {
+		d2 := u.Pos.Dist2(w.Pos)
+		if math.IsNaN(d2) {
+			// A NaN coordinate: the Hypot cost is NaN or +Inf and never
+			// meets the first removal condition, so the witness is keyed
+			// +Inf and skipped as farther than any trusted link.
+			d2 = math.Inf(1)
 		}
-		if !removed {
+		uw2 = append(uw2, d2)
+	}
+	s.costs = uw2
+	for _, n := range v.Neighbors {
+		if !rngRemoved(u, n, uw2, v.Neighbors) {
 			dst = append(dst, n.ID)
 		}
 	}
 	return dst
+}
+
+// rngRemoved reports whether some witness w removes link (u, n): both
+// cost(u, w) and cost(w, n) LinkLess than cost(u, n), costs being Hypot
+// distances. uw2[j] is the squared distance from u to nbrs[j], the view's
+// neighbors. When the squared distance of (u, n) is not sqTrusted, every
+// comparison against it goes through Hypot.
+func rngRemoved(u, n NodeInfo, uw2 []float64, nbrs []NodeInfo) bool {
+	uv2 := u.Pos.Dist2(n.Pos)
+	if !sqTrusted(uv2) {
+		cUV := u.Pos.Dist(n.Pos)
+		for _, w := range nbrs {
+			if w.ID != n.ID &&
+				LinkLess(u.Pos.Dist(w.Pos), u.ID, w.ID, cUV, u.ID, n.ID) &&
+				LinkLess(w.Pos.Dist(n.Pos), w.ID, n.ID, cUV, u.ID, n.ID) {
+				return true
+			}
+		}
+		return false
+	}
+	lo, hi := tieBand(uv2)
+	cUV := -1.0 // Hypot cost of (u, n), computed on first need
+	for j, a := range uw2 {
+		if a > hi {
+			continue // cost(u, w) > cost(u, n)
+		}
+		w := &nbrs[j]
+		if w.ID == n.ID {
+			continue
+		}
+		if a >= lo {
+			if cUV < 0 {
+				cUV = u.Pos.Dist(n.Pos)
+			}
+			if !LinkLess(u.Pos.Dist(w.Pos), u.ID, w.ID, cUV, u.ID, n.ID) {
+				continue
+			}
+		}
+		wv2 := w.Pos.Dist2(n.Pos)
+		if wv2 < lo {
+			return true
+		}
+		if wv2 > hi {
+			continue
+		}
+		if cUV < 0 {
+			cUV = u.Pos.Dist(n.Pos)
+		}
+		if LinkLess(w.Pos.Dist(n.Pos), w.ID, n.ID, cUV, u.ID, n.ID) {
+			return true
+		}
+	}
+	return false
 }
 
 // Gabriel is the Gabriel-graph special case of the RNG protocol: the

@@ -360,10 +360,4 @@ func TestViewCanon(t *testing.T) {
 	if c.Neighbors[1].Pos != geom.Pt(1, 0) {
 		t.Error("Canon must keep the first occurrence of a duplicate id")
 	}
-	if _, ok := c.Find(2); !ok {
-		t.Error("Find(2) failed")
-	}
-	if _, ok := c.Find(77); ok {
-		t.Error("Find(77) should fail")
-	}
 }

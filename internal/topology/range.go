@@ -4,30 +4,55 @@ import "mstc/internal/geom"
 
 // ActualRange returns the actual transmission range of a node (§3.3): the
 // distance from self to the farthest logical neighbor in the view. A node
-// with no logical neighbors gets range 0 (it still receives).
+// with no logical neighbors gets range 0 (it still receives); ids absent
+// from the view are ignored. The view must be canonical and logical
+// ascending, as every Protocol returns it: one merge scan pairs them.
 func ActualRange(v View, logical []int) float64 {
-	r := 0.0
+	f := farthest{from: v.Self.Pos}
+	j := 0
 	for _, id := range logical {
-		if n, ok := v.Find(id); ok {
-			if d := v.Self.Pos.Dist(n.Pos); d > r {
-				r = d
-			}
+		for j < len(v.Neighbors) && v.Neighbors[j].ID < id {
+			j++
+		}
+		if j < len(v.Neighbors) && v.Neighbors[j].ID == id {
+			f.add(v.Neighbors[j].Pos)
 		}
 	}
-	return r
+	return f.r
 }
 
 // ActualRangeFrom returns the farthest distance from pos to any of the
-// given neighbor positions — the multi-view variant of ActualRange, where
-// the conservative caller passes the maximal per-neighbor distance.
+// given neighbor positions (0 for none) — ActualRange over positions the
+// caller already holds, such as a cached selection's.
 func ActualRangeFrom(pos geom.Point, nbrs []geom.Point) float64 {
-	r := 0.0
+	f := farthest{from: pos}
 	for _, q := range nbrs {
-		if d := pos.Dist(q); d > r {
-			r = d
-		}
+		f.add(q)
 	}
-	return r
+	return f.r
+}
+
+// farthest accumulates the largest Hypot distance r from a point over the
+// points added, bit-identical to taking every Hypot: a point whose squared
+// distance lies below the tie band of the largest squared distance seen so
+// far is provably nearer than that earlier point (see tieBand), whose
+// Hypot is already in r, so it is skipped without a square root.
+type farthest struct {
+	from    geom.Point
+	r, max2 float64
+}
+
+func (f *farthest) add(p geom.Point) {
+	d2 := f.from.Dist2(p)
+	if lo, _ := tieBand(f.max2); sqTrusted(f.max2) && d2 < lo {
+		return
+	}
+	if d := f.from.Dist(p); d > f.r {
+		f.r = d
+	}
+	if d2 > f.max2 {
+		f.max2 = d2
+	}
 }
 
 // BufferWidth returns the buffer-zone width l = 2·Δ″·v of Theorem 5, where

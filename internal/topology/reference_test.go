@@ -12,6 +12,62 @@ import (
 // kernels in protocols.go and weak.go replaced them; scratch_test.go pins
 // the kernels against them.
 
+// refRNGSelectInto is the historical RNG.SelectInto kernel, verbatim: the
+// double loop over Hypot costs with cost(u, w) cached per witness. The
+// nearest-first squared-distance kernel must match it bit for bit.
+func refRNGSelectInto(v View, dst []int, s *Scratch) []int {
+	u := v.Self
+	// Cache cost(u, w) per witness: the naive double loop recomputes each
+	// of these d times, and the distance (hypot) dominates the selection
+	// profile. The witness cost cost(w, v) is only needed once the first
+	// LinkLess condition holds, so it is computed lazily — same values,
+	// same comparisons, identical output.
+	cU := grown(s.costs, len(v.Neighbors))[:0]
+	for _, n := range v.Neighbors {
+		cU = append(cU, u.Pos.Dist(n.Pos))
+	}
+	s.costs = cU
+	for i, n := range v.Neighbors {
+		cUV := cU[i]
+		removed := false
+		for j, w := range v.Neighbors {
+			if w.ID == n.ID {
+				continue
+			}
+			if !LinkLess(cU[j], u.ID, w.ID, cUV, u.ID, n.ID) {
+				continue
+			}
+			cWV := w.Pos.Dist(n.Pos)
+			if LinkLess(cWV, w.ID, n.ID, cUV, u.ID, n.ID) {
+				removed = true
+				break
+			}
+		}
+		if !removed {
+			dst = append(dst, n.ID)
+		}
+	}
+	return dst
+}
+
+// refActualRange is the historical ActualRange: a linear search of the
+// view per logical id (the former View.Find) and a Hypot for every logical
+// neighbor.
+func refActualRange(v View, logical []int) float64 {
+	r := 0.0
+	for _, id := range logical {
+		for _, n := range v.Neighbors {
+			if n.ID == id {
+				if d := v.Self.Pos.Dist(n.Pos); d > r {
+					r = d
+				}
+				break
+			}
+		}
+	}
+	return r
+}
+
 // viewGraph builds the local-view graph used by MST and SPT selection.
 // View nodes are indexed in ascending real-id order so that the index-based
 // tie-breaking inside graph.PrimMST and graph.Dijkstra coincides with the

@@ -20,7 +20,7 @@ import (
 // why it is threaded as an explicit parameter instead of living inside
 // the (pure, shareable) protocol values.
 type Scratch struct {
-	costs []float64      // RNG: cost(self, w) per witness; wRNG: cMax(self, w)
+	costs []float64      // RNG: squared distance self→w; wRNG: cMax(self, w)
 	best  []int          // Yao: per-cone best neighbor index
 	ids   []int          // MST/SPT/weak: view index -> node id
 	pts   []geom.Point   // MST/SPT: view positions in index order

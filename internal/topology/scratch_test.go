@@ -214,6 +214,30 @@ func TestSPTKernelMatchesDijkstra(t *testing.T) {
 	}
 }
 
+// TestRNGKernelMatchesReference pins the squared-distance RNG kernel
+// against the historical Hypot double loop on grid-snapped views (exact
+// cost ties), on views with co-located nodes, and on both scaled by 2^±1000
+// (squared distances that underflow or overflow).
+func TestRNGKernelMatchesReference(t *testing.T) {
+	rng := xrand.New(76)
+	s := &Scratch{}
+	scaled := func(v View, e int) View {
+		out := View{Self: v.Self, Neighbors: append([]NodeInfo(nil), v.Neighbors...)}
+		out.Self.Pos = geom.Pt(math.Ldexp(v.Self.Pos.X, e), math.Ldexp(v.Self.Pos.Y, e))
+		for i, nb := range out.Neighbors {
+			out.Neighbors[i].Pos = geom.Pt(math.Ldexp(nb.Pos.X, e), math.Ldexp(nb.Pos.Y, e))
+		}
+		return out
+	}
+	for trial := 0; trial < 400; trial++ {
+		v := randView(rng, 40)
+		for k, view := range []View{v, colocated(rng, v), scaled(v, -1000), scaled(v, 1000)} {
+			got := RNG{}.SelectInto(view, nil, s)
+			sameSet(t, fmt.Sprintf("trial %d view %d", trial, k), got, refRNGSelectInto(view, nil, &Scratch{}))
+		}
+	}
+}
+
 // TestEnergyPowMatchesMathPow pins energyPow bit for bit against math.Pow:
 // the multiply path for alpha 2 and 4 at the extremes, across the bands
 // whose results are subnormal (where math.Pow rounds twice), and densely

@@ -8,11 +8,10 @@ import (
 )
 
 // NodeInfo is one node's entry in a local view: its id and the position it
-// advertised in the "Hello" message the view was built from.
-type NodeInfo struct {
-	ID  int
-	Pos geom.Point
-}
+// advertised in the "Hello" message the view was built from. It is
+// geom.Site, so hello.Table.NeighborsInto fills a view's neighbor list
+// directly.
+type NodeInfo = geom.Site
 
 // View is a (strongly) consistent local view (§3.1): the observing node
 // itself plus one position per 1-hop neighbor. Consistency in the sense of
@@ -53,16 +52,6 @@ func (v View) EnsureCanon() View {
 		}
 	}
 	return v
-}
-
-// Find returns the neighbor entry with the given id, if present.
-func (v View) Find(id int) (NodeInfo, bool) {
-	for _, n := range v.Neighbors {
-		if n.ID == id {
-			return n, true
-		}
-	}
-	return NodeInfo{}, false
 }
 
 // MultiNodeInfo is one node's entry in a weakly consistent view: all
