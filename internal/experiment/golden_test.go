@@ -37,8 +37,9 @@ import (
 //     not move.
 
 const (
-	goldenResultsDigest = "a1a68592c985e3f119f5853a0b576d56e5197981a81305d820280dc042d6aea6"
-	goldenFig6Digest    = "f242ebe6c3a814b894a89957acf473157def4e58503965fac317ed714497ccdc"
+	goldenResultsDigest     = "a1a68592c985e3f119f5853a0b576d56e5197981a81305d820280dc042d6aea6"
+	goldenFig6Digest        = "f242ebe6c3a814b894a89957acf473157def4e58503965fac317ed714497ccdc"
+	goldenConsistencyDigest = "aa4976ee4bcc0462384aa5b680403c0d58289c180c34ac1f5a13bee6af9d9065"
 )
 
 func goldenOptions() Options {
@@ -109,6 +110,33 @@ func TestRoutingGoldenDigest(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != goldenRoutingDigest {
 		t.Errorf("FigRouting render drifted from the golden digest:\n got %s\nwant %s",
 			got, goldenRoutingDigest)
+	}
+}
+
+// TestConsistencyGoldenDigest pins every selection mode end to end: the
+// reactive (one exact version) and proactive (pinned epoch) strong
+// consistency schemes, weak consistency and latest-mode selection with view
+// synchronization, at a slow and a fast speed. The digest was captured
+// with the since-deleted selection cache on and off alike.
+func TestConsistencyGoldenDigest(t *testing.T) {
+	o := tinyOptions()
+	o.N = 40
+	o.Duration = 8
+	var tasks []Run
+	for _, speed := range []float64{1, 160} {
+		tasks = append(tasks, Run{Protocol: "MST", Speed: speed})
+		tasks = append(tasks, Run{Protocol: "RNG", Speed: speed, Mech: manet.Mechanisms{Buffer: 10, ViewSync: true}})
+		tasks = append(tasks, Run{Protocol: "MST", Speed: speed, Mech: manet.Mechanisms{Reactive: true}})
+		tasks = append(tasks, Run{Protocol: "MST", Speed: speed, Mech: manet.Mechanisms{Proactive: true}})
+		tasks = append(tasks, Run{Protocol: "MST", Speed: speed, Mech: manet.Mechanisms{WeakK: 3}})
+	}
+	results, err := Execute(o, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultsDigest(results); got != goldenConsistencyDigest {
+		t.Errorf("consistency-mode results drifted from the golden digest:\n got %s\nwant %s",
+			got, goldenConsistencyDigest)
 	}
 }
 

@@ -237,13 +237,12 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 
 	invariant := map[string]func(*Options){
-		"Workers":          func(o *Options) { o.Workers = 1 },
-		"Reps":             func(o *Options) { o.Reps = 50 },
-		"Speeds":           func(o *Options) { o.Speeds = []float64{1} },
-		"Buffers":          func(o *Options) { o.Buffers = nil },
-		"Radio.Slack":      func(o *Options) { o.Radio.Slack = -1 },
-		"NoSelectionCache": func(o *Options) { o.NoSelectionCache = true },
-		"Domains":          func(o *Options) { o.Domains = 2 },
+		"Workers":     func(o *Options) { o.Workers = 1 },
+		"Reps":        func(o *Options) { o.Reps = 50 },
+		"Speeds":      func(o *Options) { o.Speeds = []float64{1} },
+		"Buffers":     func(o *Options) { o.Buffers = nil },
+		"Radio.Slack": func(o *Options) { o.Radio.Slack = -1 },
+		"Domains":     func(o *Options) { o.Domains = 2 },
 		"EngineWorkers": func(o *Options) {
 			o.Domains = 2
 			o.EngineWorkers = 4

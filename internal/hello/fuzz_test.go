@@ -98,8 +98,8 @@ func (r *refTable) len() int {
 // the operand. Ops are Observe (weighted 4 of 8), Reset, time advance in
 // quarter seconds, and Observe of an id at or outside the bound, which
 // must panic and change nothing. After every op each query of both tables
-// must match its model (NeighborsInto's horizon included), and Version
-// must have moved by exactly the model's mutation count. `go test` runs
+// must match its model (StableUntil included), and Version must have
+// moved by exactly the model's mutation count. `go test` runs
 // the seed corpus;
 // `go test -fuzz=FuzzTable ./internal/hello` explores further.
 func FuzzTable(f *testing.F) {
@@ -187,25 +187,27 @@ func checkTable(t *testing.T, where string, tb *Table, ref *refTable, base uint6
 			t.Fatalf("%s: %s = %v, want %v", where, query, got[1:], want)
 		}
 	}
+	// The site accessors append the From and Pos of the messages their
+	// model picks.
+	siteSentinel := geom.Site{ID: -7, Pos: geom.Pt(-1, -1)}
+	sites := []geom.Site{siteSentinel}
+	checkSites := func(query string, got []geom.Site, want []Message) {
+		t.Helper()
+		if len(got) == 0 || got[0] != siteSentinel {
+			t.Fatalf("%s: %s overwrote dst's prefix", where, query)
+		}
+		wantSites := make([]geom.Site, 0, len(want))
+		for _, m := range want {
+			wantSites = append(wantSites, geom.Site{ID: m.From, Pos: m.Pos})
+		}
+		if !slices.Equal(got[1:], wantSites) {
+			t.Fatalf("%s: %s = %v, want %v", where, query, got[1:], wantSites)
+		}
+	}
 	dst := []Message{sentinel}
 	latest := ref.pick(now, func(Message) bool { return true })
 	check("LatestInto", tb.LatestInto(dst, now), latest)
-	// NeighborsInto is LatestInto's From and Pos plus StableUntil.
-	siteSentinel := geom.Site{ID: -7, Pos: geom.Pt(-1, -1)}
-	sites, horizon := tb.NeighborsInto([]geom.Site{siteSentinel}, now)
-	if sites[0] != siteSentinel {
-		t.Fatalf("%s: NeighborsInto overwrote dst's prefix", where)
-	}
-	wantSites := make([]geom.Site, 0, len(latest))
-	for _, m := range latest {
-		wantSites = append(wantSites, geom.Site{ID: m.From, Pos: m.Pos})
-	}
-	if !slices.Equal(sites[1:], wantSites) {
-		t.Fatalf("%s: NeighborsInto = %v, want %v", where, sites[1:], wantSites)
-	}
-	if want := ref.stableUntil(now); horizon != want {
-		t.Fatalf("%s: NeighborsInto horizon = %g, want %g", where, horizon, want)
-	}
+	checkSites("NeighborsInto", tb.NeighborsInto(sites, now), latest)
 	for id := -1; id <= bound; id++ {
 		var want []Message
 		if id >= 0 && id < bound && ref.live(ref.hist[id], now) {
@@ -214,9 +216,9 @@ func checkTable(t *testing.T, where string, tb *Table, ref *refTable, base uint6
 		check(fmt.Sprintf("HistoryInto(%d)", id), tb.HistoryInto(dst, id, now), want)
 	}
 	for v := uint64(0); v <= 16; v++ {
-		check(fmt.Sprintf("VersionedInto(%d)", v), tb.VersionedInto(dst, v, now),
+		checkSites(fmt.Sprintf("VersionedInto(%d)", v), tb.VersionedInto(sites, v, now),
 			ref.pick(now, func(m Message) bool { return m.Version == v }))
-		check(fmt.Sprintf("AsOfInto(%d)", v), tb.AsOfInto(dst, v, now),
+		checkSites(fmt.Sprintf("AsOfInto(%d)", v), tb.AsOfInto(sites, v, now),
 			ref.pick(now, func(m Message) bool { return m.Version <= v }))
 	}
 }

@@ -112,8 +112,8 @@ func (t *Table) Len() int { return len(t.nbrs) }
 // Version returns the table's monotone mutation counter: it increases on
 // every state change (message stored or replaced, reset) and never
 // otherwise. Together with an expiry horizon (StableUntil) it is an O(1)
-// fingerprint of the table's visible contents — the cache key of package
-// manet's selection cache.
+// fingerprint of the table's visible contents; package manet keys its OLSR
+// link-state memo on it.
 func (t *Table) Version() uint64 { return t.ver }
 
 // StableUntil returns the latest instant through which the table's visible
@@ -141,8 +141,8 @@ func (t *Table) StableUntil(now float64) float64 {
 
 // Reset drops all stored state in place, keeping the table's storage and
 // expiry. Unlike constructing a fresh table, Reset keeps the mutation
-// counter monotone, so stale cache entries keyed by Version can never
-// alias the post-reset state.
+// counter monotone, so nothing keyed by Version before the reset can alias
+// the post-reset state.
 func (t *Table) Reset() {
 	t.ver++
 	t.nbrs = t.nbrs[:0]
@@ -238,23 +238,15 @@ func (t *Table) LatestInto(dst []Message, now float64) []Message {
 // NeighborsInto appends the id and newest advertised position of every
 // live neighbor to dst (which may be nil), ascending by neighbor id — the
 // From and Pos of what LatestInto appends, without copying whole messages.
-// It also returns StableUntil(now), computed in the same pass.
 //
 //manet:noalloc
-func (t *Table) NeighborsInto(dst []geom.Site, now float64) ([]geom.Site, float64) {
-	horizon := math.Inf(1)
+func (t *Table) NeighborsInto(dst []geom.Site, now float64) []geom.Site {
 	for i, nb := range t.nbrs {
-		if !t.live(i, now) {
-			continue
+		if t.live(i, now) {
+			dst = append(dst, geom.Site{ID: int(nb.id), Pos: t.msgs[i*t.k].Pos})
 		}
-		if t.expiry > 0 {
-			if d := nb.sentAt + t.expiry; d < horizon {
-				horizon = d
-			}
-		}
-		dst = append(dst, geom.Site{ID: int(nb.id), Pos: t.msgs[i*t.k].Pos})
 	}
-	return dst, horizon
+	return dst
 }
 
 // HistoryInto appends the stored messages of the given neighbor, newest
@@ -270,20 +262,21 @@ func (t *Table) HistoryInto(dst []Message, id int, now float64) []Message {
 	return append(dst, t.history(i)...)
 }
 
-// VersionedInto appends, per live neighbor, the stored message with exactly
-// the given version, ascending by neighbor id. Neighbors lacking that
-// version are omitted — this is the lookup the reactive strong-consistency
-// scheme performs once every node has beaconed a round's version (§4.1).
+// VersionedInto appends, per live neighbor, the id and position of the
+// stored message with exactly the given version, ascending by neighbor id.
+// Neighbors lacking that version are omitted — this is the lookup the
+// reactive strong-consistency scheme performs once every node has beaconed
+// a round's version (§4.1).
 //
 //manet:noalloc
-func (t *Table) VersionedInto(dst []Message, version uint64, now float64) []Message {
+func (t *Table) VersionedInto(dst []geom.Site, version uint64, now float64) []geom.Site {
 	for i := range t.nbrs {
 		if !t.live(i, now) {
 			continue
 		}
 		for _, msg := range t.history(i) {
 			if msg.Version == version {
-				dst = append(dst, msg)
+				dst = append(dst, geom.Site{ID: msg.From, Pos: msg.Pos})
 				break
 			}
 		}
@@ -291,15 +284,15 @@ func (t *Table) VersionedInto(dst []Message, version uint64, now float64) []Mess
 	return dst
 }
 
-// AsOfInto appends, per live neighbor, the newest stored message with
-// version at most v, ascending by neighbor id. Neighbors with no such
-// version are omitted. This is the lookup behind the proactive
-// strong-consistency scheme (§4.1): all nodes relaying a packet pinned to
-// version v resolve each neighbor to the *same* message, so their local
-// views are consistent in the sense of Theorem 2.
+// AsOfInto appends, per live neighbor, the id and position of the newest
+// stored message with version at most v, ascending by neighbor id.
+// Neighbors with no such version are omitted. This is the lookup behind
+// the proactive strong-consistency scheme (§4.1): all nodes relaying a
+// packet pinned to version v resolve each neighbor to the *same* message,
+// so their local views are consistent in the sense of Theorem 2.
 //
 //manet:noalloc
-func (t *Table) AsOfInto(dst []Message, v uint64, now float64) []Message {
+func (t *Table) AsOfInto(dst []geom.Site, v uint64, now float64) []geom.Site {
 	for i := range t.nbrs {
 		if !t.live(i, now) {
 			continue
@@ -307,7 +300,7 @@ func (t *Table) AsOfInto(dst []Message, v uint64, now float64) []Message {
 		// The history is sorted by descending version; pick the first <= v.
 		for _, msg := range t.history(i) {
 			if msg.Version <= v {
-				dst = append(dst, msg)
+				dst = append(dst, geom.Site{ID: msg.From, Pos: msg.Pos})
 				break
 			}
 		}

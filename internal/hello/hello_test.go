@@ -130,14 +130,14 @@ func TestVersioned(t *testing.T) {
 	tb.Observe(msg(2, 20, 1, 1))
 	tb.Observe(msg(3, 30, 2, 2))
 	got := tb.VersionedInto(nil, 1, 10)
-	if len(got) != 2 || got[0].From != 1 || got[1].From != 2 {
+	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
 		t.Errorf("Versioned(1) = %v", got)
 	}
 	if got[0].Pos != geom.Pt(10, 0) {
 		t.Errorf("Versioned(1) returned wrong message for node 1: %+v", got[0])
 	}
 	got = tb.VersionedInto(nil, 2, 10)
-	if len(got) != 2 || got[0].From != 1 || got[1].From != 3 {
+	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
 		t.Errorf("Versioned(2) = %v", got)
 	}
 }
@@ -155,14 +155,14 @@ func TestAsOf(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("AsOf(2) = %v", got)
 	}
-	if got[0].From != 1 || got[0].Version != 1 {
-		t.Errorf("node 1 resolved to %+v, want version 1", got[0])
+	if got[0] != (geom.Site{ID: 1, Pos: geom.Pt(10, 0)}) {
+		t.Errorf("node 1 resolved to %+v, want version 1 at x = 10", got[0])
 	}
-	if got[1].From != 2 || got[1].Version != 2 {
-		t.Errorf("node 2 resolved to %+v, want version 2", got[1])
+	if got[1] != (geom.Site{ID: 2, Pos: geom.Pt(20, 0)}) {
+		t.Errorf("node 2 resolved to %+v, want version 2 at x = 20", got[1])
 	}
 	got = tb.AsOfInto(nil, 10, 10)
-	if len(got) != 3 || got[0].Version != 3 || got[2].Version != 4 {
+	if len(got) != 3 || got[0].Pos != geom.Pt(12, 0) || got[2].Pos != geom.Pt(30, 0) {
 		t.Errorf("AsOf(10) = %v", got)
 	}
 	if got := tb.AsOfInto(nil, 0, 10); len(got) != 0 {
@@ -182,7 +182,7 @@ func TestAsOfConsistencyAcrossTables(t *testing.T) {
 	b.Observe(m2)
 	b.Observe(m3)
 	ra, rb := a.AsOfInto(nil, 2, 10), b.AsOfInto(nil, 2, 10)
-	if len(ra) != 1 || len(rb) != 1 || !reflect.DeepEqual(ra[0], rb[0]) {
+	if len(ra) != 1 || len(rb) != 1 || ra[0] != rb[0] || ra[0].Pos != m2.Pos {
 		t.Errorf("observers resolved differently: %v vs %v", ra, rb)
 	}
 }

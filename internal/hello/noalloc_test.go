@@ -35,10 +35,10 @@ func TestNoallocAnnotationsConform(t *testing.T) {
 
 	accessors := map[string]func(){
 		"Table.LatestInto":    func() { dst = tbl.LatestInto(dst[:0], now) },
-		"Table.NeighborsInto": func() { sites, _ = tbl.NeighborsInto(sites[:0], now) },
+		"Table.NeighborsInto": func() { sites = tbl.NeighborsInto(sites[:0], now) },
 		"Table.HistoryInto":   func() { dst = tbl.HistoryInto(dst[:0], n/2, now) },
-		"Table.VersionedInto": func() { dst = tbl.VersionedInto(dst[:0], ver, now) },
-		"Table.AsOfInto":      func() { dst = tbl.AsOfInto(dst[:0], ver, now) },
+		"Table.VersionedInto": func() { sites = tbl.VersionedInto(sites[:0], ver, now) },
+		"Table.AsOfInto":      func() { sites = tbl.AsOfInto(sites[:0], ver, now) },
 	}
 
 	annotated, err := lint.NoallocFuncs(".")

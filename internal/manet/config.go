@@ -14,6 +14,7 @@ package manet
 
 import (
 	"fmt"
+	"math"
 
 	"mstc/internal/channel"
 	"mstc/internal/radio"
@@ -145,11 +146,6 @@ type Config struct {
 	// (clamped to [1, Domains²]; default 1, which runs the barriers inline
 	// on the caller's goroutine). Requires Domains >= 1.
 	ParallelWorkers int
-	// NoSelectionCache disables the version-keyed selection cache, forcing
-	// every selection to rebuild its view and rerun the protocol. Results
-	// are identical either way — the knob exists so differential tests can
-	// prove it.
-	NoSelectionCache bool
 	// Seed drives every stochastic choice of the run.
 	Seed uint64
 }
@@ -182,6 +178,29 @@ func (c Config) withDefaults() Config {
 
 // validate reports configuration errors.
 func (c Config) validate() error {
+	// NaN fails every ordered comparison below, so it would slip past
+	// them, and an infinite rate becomes a zero period: reject both first.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"NormalRange", c.NormalRange},
+		{"HelloMin", c.HelloMin},
+		{"HelloMax", c.HelloMax},
+		{"HelloExpiry", c.HelloExpiry},
+		{"Mech.Buffer", c.Mech.Buffer},
+		{"FloodRate", c.FloodRate},
+		{"FloodSettle", c.FloodSettle},
+		{"ForwardJitterMax", c.ForwardJitterMax},
+		{"SampleRate", c.SampleRate},
+		{"SnapshotEvery", c.SnapshotEvery},
+		{"PosNoise", c.PosNoise},
+		{"EnergyAlpha", c.EnergyAlpha},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("manet: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case c.NormalRange <= 0:
 		return fmt.Errorf("manet: NormalRange must be positive, got %g", c.NormalRange)

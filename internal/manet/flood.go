@@ -91,7 +91,7 @@ func (nw *Network) transmit(fl *flood, sender int, now sim.Time) {
 		// neighborhood (it already carries the logical set). The map is
 		// captured by the delayed delivery closures below, so it cannot be
 		// scratch-backed.
-		nw.nbrBuf, _ = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
+		nw.nbrBuf = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
 		//lint:ignore noalloc the header map escapes into the delayed deliveries by design (see comment above); self-pruning runs accept this per-transmit cost
 		senderCover = make(map[int]bool, len(nw.nbrBuf)+1)
 		senderCover[sender] = true
@@ -191,7 +191,7 @@ func (nw *Network) releaseDelivery(d *delivery) {
 // coversNew reports whether node id knows a neighbor outside the sender's
 // covered set — the self-pruning forwarding condition.
 func (nw *Network) coversNew(id int, now sim.Time, cover map[int]bool) bool {
-	nw.nbrBuf, _ = nw.nodes[id].table.NeighborsInto(nw.nbrBuf[:0], now)
+	nw.nbrBuf = nw.nodes[id].table.NeighborsInto(nw.nbrBuf[:0], now)
 	for _, nb := range nw.nbrBuf {
 		if !cover[nb.ID] {
 			return true

@@ -31,7 +31,6 @@ type node struct {
 	txRange       float64 // actual + buffer, clamped
 	cdsMarked     bool    // own Wu-Li marked status (CDSForward mechanism)
 	downUntil     float64 // churn: node is failed until this instant
-	cache         selCache
 }
 
 // isDown reports whether the node is failed at time t.
@@ -69,36 +68,6 @@ func (nd *node) ownAsOf(v uint64) hello.Message {
 	return hello.Message{From: nd.id, Pos: nd.advertisedPos}
 }
 
-// Selection cache modes: one per distinct view-construction path. The modes
-// never share entries — a node's cache holds the result of whichever path
-// ran last.
-const (
-	selModeLatest    = uint8(iota + 1) // updateSelection: latest messages
-	selModeVersioned                   // selectFromVersion: one exact version
-	selModeAsOf                        // selectAsOf: newest version <= pin
-)
-
-// selCache memoizes one node's last selection, keyed by an O(1) fingerprint
-// of the view it was computed from: the hello table's mutation counter plus
-// an expiry horizon (the table's visible contents are provably unchanged
-// while the counter holds and now stays within [filledAt, stableUntil] —
-// expired entries can only revive through Observe, which bumps the counter,
-// and simulation time is monotone), the node's own view position, and the
-// mode discriminant with its pinned version. On a hit the selected set is
-// replayed verbatim; only the transmission range is recomputed, from the
-// node's current physical position against the cached neighbor positions —
-// exactly what ActualRange computes on the miss path.
-type selCache struct {
-	mode        uint8
-	tableVer    uint64
-	pin         uint64 // version (reactive) / pin (proactive); 0 for latest
-	selfPos     geom.Point
-	filledAt    float64
-	stableUntil float64
-	sel         []int
-	selPos      []geom.Point // cached positions of the selected neighbors
-}
-
 // positionSource resolves a node's exact position at a simulated instant.
 // The serial engine's selection context reads positions through the radio
 // medium (which fronts the shared leg cursor); each parallel domain
@@ -115,14 +84,14 @@ type positionSource interface {
 // it — the engine is single-goroutine); the region-parallel engine gives
 // every domain its own, so concurrent domain workers never share scratch.
 // Nothing built from these buffers outlives the call that filled it
-// (selectors do not retain view slices, and anything stored — logical
-// sets, caches — is copied out into node-owned storage).
+// (selectors do not retain view slices, and the logical sets they produce
+// are copied out into node-owned storage).
 type selCtx struct {
 	cfg *Config
 	pos positionSource
 
-	msgBuf     []hello.Message     // Table.*Into scratch
-	nbrBuf     []topology.NodeInfo // View.Neighbors and Table.NeighborsInto scratch
+	msgBuf     []hello.Message     // Table.LatestInto scratch (Wu-Li marking, weak history)
+	nbrBuf     []topology.NodeInfo // View.Neighbors scratch, filled by the Table.*Into site accessors
 	multiBuf   []topology.MultiNodeInfo
 	posBuf     []geom.Point // flat backing for MultiNodeInfo.Positions
 	histBuf    []hello.Message
@@ -255,15 +224,12 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 	}
 	tables := hello.NewTables(k, expiry, n, n, capacity)
 	// Logical neighbor sets are small (2-8 for every protocol in the
-	// registry), so per-node selection storage — the live set plus the
-	// cache's replay copy — comes from three shared backing arrays, each
-	// handing every node a fixed-capacity window. A node outgrowing its
-	// window falls back to a plain append reallocation, so the capacity is
-	// a fast path, not a limit.
+	// registry), so the per-node live sets come from one shared backing
+	// array handing every node a fixed-capacity window. A node outgrowing
+	// its window falls back to a plain append reallocation, so the capacity
+	// is a fast path, not a limit.
 	const selCap = 8
 	logBack := make([]int, n*selCap)
-	selBack := make([]int, n*selCap)
-	posBack := make([]geom.Point, n*selCap)
 	for i := 0; i < n; i++ {
 		sub := root.Sub('h', uint64(i))
 		nd := &backing[i]
@@ -271,8 +237,6 @@ func NewNetwork(model mobility.Model, cfg Config) (*Network, error) {
 		nd.interval = sub.Uniform(cfg.HelloMin, cfg.HelloMax)
 		nd.table = tables[i]
 		nd.logical = logBack[i*selCap : i*selCap : (i+1)*selCap]
-		nd.cache.sel = selBack[i*selCap : i*selCap : (i+1)*selCap]
-		nd.cache.selPos = posBack[i*selCap : i*selCap : (i+1)*selCap]
 		nw.nodes[i] = nd
 	}
 	return nw, nil
@@ -322,8 +286,8 @@ func (nw *Network) Run(duration float64) Result {
 				// Losing state on failure: the node reboots with an
 				// empty neighbor table and no selection. Reset keeps the
 				// table's expiry and its mutation counter monotone, so
-				// selection-cache entries from before the failure can
-				// never be replayed.
+				// version-keyed memos (OLSR's link-state) from before the
+				// failure never match the post-reboot table.
 				nd.table.Reset()
 				nw.setSelection(nd, nil, 0)
 				nw.eng.Schedule(now+down+rng.ExpFloat64()*meanUp, fail)
@@ -431,7 +395,7 @@ func (nw *Network) sendHello(nd *node, now sim.Time) {
 	if nw.cfg.Mech.CDSForward {
 		nd.cdsMarked = nw.wuLiMarked(nd, now)
 		msg.Marked = nd.cdsMarked
-		nw.nbrBuf, _ = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
+		nw.nbrBuf = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
 		// The neighbor list travels in the stored message, so it must be
 		// freshly allocated (exact-sized) rather than scratch-backed.
 		msg.Neighbors = make([]int, 0, len(nw.nbrBuf))
@@ -571,41 +535,15 @@ func (sc *selCtx) updateSelection(nd *node, now sim.Time, selfPos geom.Point) {
 		sc.selectWeak(nd, now, selfPos)
 		return
 	}
-	if sc.replayCached(nd, now, selModeLatest, 0, selfPos) {
-		return
-	}
-	var stableUntil float64
-	sc.nbrBuf, stableUntil = nd.table.NeighborsInto(sc.nbrBuf[:0], now)
-	v := topology.View{Self: topology.NodeInfo{ID: nd.id, Pos: selfPos}, Neighbors: sc.nbrBuf}
-	v = v.EnsureCanon()
-	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, v, sc.selBuf[:0], &sc.scratch)
-	sel := sc.selBuf
-	sc.fillCache(nd, now, selModeLatest, 0, selfPos, stableUntil, v, sel)
-	cur := sc.pos.PositionAt(nd.id, now)
-	if cur != selfPos {
-		v.Self.Pos = cur
-	}
-	sc.applySelection(nd, v, sel)
+	sc.nbrBuf = nd.table.NeighborsInto(sc.nbrBuf[:0], now)
+	sc.selectView(nd, now, selfPos)
 }
 
 // selectFromVersion is updateSelection restricted to messages of one
 // version (reactive scheme).
 func (sc *selCtx) selectFromVersion(nd *node, now sim.Time, ver uint64) {
-	if sc.replayCached(nd, now, selModeVersioned, ver, nd.advertisedPos) {
-		return
-	}
-	sc.msgBuf = nd.table.VersionedInto(sc.msgBuf[:0], ver, now)
-	sc.nbrBuf = sc.nbrBuf[:0]
-	for _, m := range sc.msgBuf {
-		sc.nbrBuf = append(sc.nbrBuf, topology.NodeInfo{ID: m.From, Pos: m.Pos})
-	}
-	v := topology.View{Self: topology.NodeInfo{ID: nd.id, Pos: nd.advertisedPos}, Neighbors: sc.nbrBuf}
-	v = v.EnsureCanon()
-	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, v, sc.selBuf[:0], &sc.scratch)
-	sel := sc.selBuf
-	sc.fillCache(nd, now, selModeVersioned, ver, nd.advertisedPos, nd.table.StableUntil(now), v, sel)
-	v.Self.Pos = sc.pos.PositionAt(nd.id, now)
-	sc.applySelection(nd, v, sel)
+	sc.nbrBuf = nd.table.VersionedInto(sc.nbrBuf[:0], ver, now)
+	sc.selectView(nd, now, nd.advertisedPos)
 }
 
 // selectAsOf re-selects nd's logical neighbors from its local view pinned
@@ -614,70 +552,19 @@ func (sc *selCtx) selectFromVersion(nd *node, now sim.Time, ver uint64) {
 // Every node relaying a packet pinned to v resolves shared neighbors to the
 // same messages, giving the consistent views of the proactive scheme.
 func (sc *selCtx) selectAsOf(nd *node, now sim.Time, v uint64) {
-	own := nd.ownAsOf(v)
-	if sc.replayCached(nd, now, selModeAsOf, v, own.Pos) {
-		return
-	}
-	sc.msgBuf = nd.table.AsOfInto(sc.msgBuf[:0], v, now)
-	sc.nbrBuf = sc.nbrBuf[:0]
-	for _, m := range sc.msgBuf {
-		sc.nbrBuf = append(sc.nbrBuf, topology.NodeInfo{ID: m.From, Pos: m.Pos})
-	}
-	view := topology.View{Self: topology.NodeInfo{ID: nd.id, Pos: own.Pos}, Neighbors: sc.nbrBuf}
-	view = view.EnsureCanon()
-	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, view, sc.selBuf[:0], &sc.scratch)
-	sel := sc.selBuf
-	sc.fillCache(nd, now, selModeAsOf, v, own.Pos, nd.table.StableUntil(now), view, sel)
-	view.Self.Pos = sc.pos.PositionAt(nd.id, now)
-	sc.applySelection(nd, view, sel)
+	sc.nbrBuf = nd.table.AsOfInto(sc.nbrBuf[:0], v, now)
+	sc.selectView(nd, now, nd.ownAsOf(v).Pos)
 }
 
-// replayCached replays nd's memoized selection when the cached fingerprint
-// still describes the view the caller would build: same construction mode
-// and pinned version, same own position, an unchanged table mutation
-// counter, and a query time inside the cached validity window (at or after
-// the fill, at or before the expiry horizon — Table.StableUntil guarantees
-// every table query answers identically across that window). The selected
-// set is replayed as-is; the transmission range is recomputed from the
-// node's current physical position over the cached neighbor positions by
-// topology.ActualRangeFrom, which takes the same maximum as ActualRange on
-// the miss path's final view.
-func (sc *selCtx) replayCached(nd *node, now sim.Time, mode uint8, pin uint64, selfPos geom.Point) bool {
-	c := &nd.cache
-	if sc.cfg.NoSelectionCache || c.mode != mode || c.pin != pin ||
-		c.tableVer != nd.table.Version() || c.selfPos != selfPos ||
-		now < c.filledAt || now > c.stableUntil {
-		return false
-	}
-	sc.setSelection(nd, c.sel, topology.ActualRangeFrom(sc.pos.PositionAt(nd.id, now), c.selPos))
-	return true
-}
-
-// fillCache records the just-computed selection with its view fingerprint;
-// stableUntil is the table's StableUntil(now). Neighbor positions are
-// copied out of the (scratch-backed) view for the hit path's range
-// recomputation; sel and v.Neighbors both ascend by id, so a merge scan
-// pairs them in one pass.
-func (sc *selCtx) fillCache(nd *node, now sim.Time, mode uint8, pin uint64, selfPos geom.Point, stableUntil float64, v topology.View, sel []int) {
-	if sc.cfg.NoSelectionCache {
-		return
-	}
-	c := &nd.cache
-	c.mode, c.pin, c.selfPos = mode, pin, selfPos
-	c.tableVer = nd.table.Version()
-	c.filledAt = now
-	c.stableUntil = stableUntil
-	c.sel = append(c.sel[:0], sel...)
-	c.selPos = c.selPos[:0]
-	j := 0
-	for _, id := range sel {
-		for j < len(v.Neighbors) && v.Neighbors[j].ID < id {
-			j++
-		}
-		if j < len(v.Neighbors) && v.Neighbors[j].ID == id {
-			c.selPos = append(c.selPos, v.Neighbors[j].Pos)
-		}
-	}
+// selectView is the shared tail of the strong and latest selection modes:
+// it selects over the neighbors in nbrBuf with nd at selfPos, then sets
+// the transmission range from nd's current physical position.
+func (sc *selCtx) selectView(nd *node, now sim.Time, selfPos geom.Point) {
+	v := topology.View{Self: topology.NodeInfo{ID: nd.id, Pos: selfPos}, Neighbors: sc.nbrBuf}
+	v = v.EnsureCanon()
+	sc.selBuf = topology.SelectInto(sc.cfg.Protocol, v, sc.selBuf[:0], &sc.scratch)
+	v.Self.Pos = sc.pos.PositionAt(nd.id, now)
+	sc.setSelection(nd, sc.selBuf, topology.ActualRange(v, sc.selBuf))
 }
 
 // selectWeak recomputes nd's selection under weak consistency: the view
@@ -730,10 +617,6 @@ func (sc *selCtx) selectWeak(nd *node, now sim.Time, selfPos geom.Point) {
 		}
 	}
 	sc.setSelection(nd, sel, r)
-}
-
-func (sc *selCtx) applySelection(nd *node, v topology.View, sel []int) {
-	sc.setSelection(nd, sel, topology.ActualRange(v, sel))
 }
 
 func (sc *selCtx) setSelection(nd *node, sel []int, actual float64) {

@@ -113,6 +113,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFinite feeds NaN, +Inf and -Inf to every float
+// field of Config and Mechanisms. Each must be rejected by NewNetwork
+// rather than reach the scheduler (an infinite rate is a zero period) or
+// poison the metrics (a NaN range compares false everywhere).
+func TestConfigRejectsNonFinite(t *testing.T) {
+	model := connectedStatic(t, 1, 10, 5)
+	fields := map[string]func(*Config, float64){
+		"NormalRange":      func(c *Config, v float64) { c.NormalRange = v },
+		"HelloMin":         func(c *Config, v float64) { c.HelloMin = v },
+		"HelloMax":         func(c *Config, v float64) { c.HelloMax = v },
+		"HelloExpiry":      func(c *Config, v float64) { c.HelloExpiry = v },
+		"Mech.Buffer":      func(c *Config, v float64) { c.Mech.Buffer = v },
+		"FloodRate":        func(c *Config, v float64) { c.FloodRate = v },
+		"FloodSettle":      func(c *Config, v float64) { c.FloodSettle = v },
+		"ForwardJitterMax": func(c *Config, v float64) { c.ForwardJitterMax = v },
+		"SampleRate":       func(c *Config, v float64) { c.SampleRate = v },
+		"SnapshotEvery":    func(c *Config, v float64) { c.SnapshotEvery = v },
+		"PosNoise":         func(c *Config, v float64) { c.PosNoise = v },
+		"EnergyAlpha":      func(c *Config, v float64) { c.EnergyAlpha = v },
+	}
+	names := make([]string, 0, len(fields))
+	for name := range fields {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{Protocol: topology.RNG{}, FloodRate: 10, Seed: 1}
+			fields[name](&cfg, v)
+			if _, err := NewNetwork(model, cfg); err == nil {
+				t.Errorf("%s = %g accepted", name, v)
+			}
+		}
+	}
+}
+
 func TestAccessorsAfterRun(t *testing.T) {
 	model := connectedStatic(t, 5, 50, 10)
 	nw, err := NewNetwork(model, Config{Protocol: topology.RNG{}, Seed: 1})

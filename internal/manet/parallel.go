@@ -626,7 +626,7 @@ func (pr *parRun) floodTransmit(fl *flood, sender int, now float64) {
 	nw.dataEnergy += energyOf(nd.txRange/nw.cfg.NormalRange, nw.cfg.EnergyAlpha)
 	var cover map[int]bool
 	if nw.cfg.Mech.SelfPruning {
-		nw.nbrBuf, _ = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
+		nw.nbrBuf = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
 		cover = make(map[int]bool, len(nw.nbrBuf)+1)
 		cover[sender] = true
 		for _, nb := range nw.nbrBuf {

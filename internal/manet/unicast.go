@@ -127,7 +127,7 @@ func (nw *Network) routeProbe(src, dst, maxHops int, now sim.Time) {
 func (nw *Network) greedyNext(nd *node, dst int, target geom.Point, now sim.Time) (int, bool) {
 	best := -1
 	bestD := nd.advertisedPos.Dist2(target)
-	nw.nbrBuf, _ = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
+	nw.nbrBuf = nd.table.NeighborsInto(nw.nbrBuf[:0], now)
 	for _, nb := range nw.nbrBuf {
 		if !nw.cfg.Mech.PhysicalNeighbors && !nd.isLogical(nb.ID) {
 			continue

@@ -21,17 +21,6 @@ func ActualRange(v View, logical []int) float64 {
 	return f.r
 }
 
-// ActualRangeFrom returns the farthest distance from pos to any of the
-// given neighbor positions (0 for none) — ActualRange over positions the
-// caller already holds, such as a cached selection's.
-func ActualRangeFrom(pos geom.Point, nbrs []geom.Point) float64 {
-	f := farthest{from: pos}
-	for _, q := range nbrs {
-		f.add(q)
-	}
-	return f.r
-}
-
 // farthest accumulates the largest Hypot distance r from a point over the
 // points added, bit-identical to taking every Hypot: a point whose squared
 // distance lies below the tie band of the largest squared distance seen so

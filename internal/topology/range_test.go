@@ -32,16 +32,6 @@ func TestActualRange(t *testing.T) {
 	}
 }
 
-func TestActualRangeFrom(t *testing.T) {
-	got := ActualRangeFrom(geom.Pt(0, 0), []geom.Point{geom.Pt(3, 4), geom.Pt(1, 1)})
-	if got != 5 {
-		t.Errorf("ActualRangeFrom = %v, want 5", got)
-	}
-	if got := ActualRangeFrom(geom.Pt(0, 0), nil); got != 0 {
-		t.Errorf("empty = %v, want 0", got)
-	}
-}
-
 func TestBufferWidthTheorem5Formula(t *testing.T) {
 	// l = 2 Δ″ v. Paper's worst case (§5.2): Δ″ = 2.5 s (twice the
 	// maximal Hello interval), twice-the-maximal relative speed folded
